@@ -13,7 +13,7 @@ import numpy as np
 
 from .domains import BOT, Point, ProductSet, dedup_points, sort_points
 from .field import Field
-from .linalg import kernel_basis
+from .linalg import project_constraints
 from .rm_locator import ColKey, LocatorOutput
 
 
@@ -260,25 +260,12 @@ def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> AntisymLo
         row[idx[("c", q)]] = (row[idx[("c", q)]] - 1) % p
         rows.append(row)
 
-    y = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, len(cols)), dtype=np.int64)
-    )
+    y = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
     keep = [j for j, (kind, _) in enumerate(cols) if kind != "g"]
-    kernel = kernel_basis(y, p)
-    projected = (
-        kernel[:, keep] if kernel.size else np.zeros((0, len(keep)), dtype=np.int64)
-    )
-    z = (
-        kernel_basis(projected, p)
-        if projected.shape[0]
-        else np.eye(len(keep), dtype=np.int64)
-    )
     return AntisymLocatorOutput(
         r=tuple(r_list),
         cols=tuple(cols[j] for j in keep),
-        z=z,
+        z=project_constraints(y, keep, p),
         meta={"prefix_free": fam},
         g=fam.g,
         families=families,

@@ -2,10 +2,11 @@
 
 The simulator's random draws are all uniform-on-affine-fiber, so for a
 fixed query sequence its joint output law is uniform on an affine set; this
-module replays the simulator's row construction symbolically to recover
-that set, builds the real law from the explicit linear map out of the
-prover's coefficient space, and compares the two distributions with exact
-rational arithmetic. A total-variation distance of zero is a proof of
+module drives the simulator's own view state (``pcp.ViewState``: the same
+activation rule and the same rows) and accumulates the rows symbolically to
+recover that set, builds the real law from the explicit linear map out of
+the prover's coefficient space, and compares the two distributions with
+exact rational arithmetic. A total-variation distance of zero is a proof of
 distribution equality for that script, not a statistical estimate.
 """
 from __future__ import annotations
@@ -18,10 +19,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import Point, rev_point
-from .encoding import EncodingSpec, enc_pcp_spec
 from .linalg import AffineSystem, kernel_basis, rank, rref
-from .pcp import SumcheckParams, gather_state_rows
-from .poly import MultiPoly, eval_monomial, monomial_exponents, univariate_from_roots
+from .pcp import SumcheckParams, ViewState
+from .poly import (
+    MultiPoly,
+    eval_monomial,
+    eval_univariate,
+    monomial_exponents,
+    univariate_from_roots,
+)
 
 
 class AuditError(Exception):
@@ -114,60 +120,24 @@ def symbolic_simulator_law(
     steps: Sequence[tuple[str, Point]],
     include_mask_row: bool = True,
 ) -> tuple[LinearLaw, list]:
-    """Replay the simulator's row construction without sampling.
+    """Run the simulator's view state without sampling.
 
     Returns the accumulated law plus, per step, the coordinate key whose
     value the simulator would have returned.
     """
-    p = params.p
-    spec: EncodingSpec = enc_pcp_spec(
-        params.fld, params.m, params.d, params.h, f_eval, gamma
-    )
-    law = LinearLaw(p)
-    sig_pts: list[Point] = []
-    q_pts: set[Point] = set()
-    t_pts: list[set[Point]] = [set() for _ in range(params.m)]
-    activated: list[Point] = []
+    view = ViewState(params, f_eval, gamma, include_mask_row)
+    law = LinearLaw(params.p)
     answer_keys = []
-
     for oracle, pt in steps:
         pt = tuple(int(c) for c in pt)
-        key = (
+        answer_keys.append(
             ("s", pt)
             if oracle == "sigma"
             else ("q", pt) if oracle == "q" else ("t", int(oracle[1:]), pt)
         )
-        answer_keys.append(key)
-        if oracle != "sigma" and len(pt) != params.m:
-            raise ValueError("mask tables are indexed by full-arity points")
-        if key in law.index:
-            continue
-        new_keys = []
-        if pt not in sig_pts:
-            new_keys.append(("s", pt))
-            sig_pts = sorted(set(sig_pts) | {pt}, key=lambda q: (len(q), q))
-        # mirror the sampler: full-arity points carry their mask coordinates
-        if len(pt) == params.m and pt not in activated:
-            new_keys.extend(("q", q) for q in sorted({pt, rev_point(pt)} - q_pts))
-            q_pts |= {pt, rev_point(pt)}
-            for i in range(params.m):
-                if pt not in t_pts[i]:
-                    new_keys.append(("t", i, pt))
-                t_pts[i].add(pt)
-            activated.append(pt)
-        if not new_keys:
-            continue
-        rows, _ = gather_state_rows(
-            params,
-            f_eval,
-            spec,
-            sig_pts,
-            sorted(q_pts),
-            [sorted(s) for s in t_pts],
-            activated,
-            include_mask_row,
-        )
-        law.add_step(new_keys, rows)
+        new_keys = view.admit(oracle, pt)
+        if new_keys:
+            law.add_step(new_keys, view.rows()[0])
     return law, answer_keys
 
 
@@ -194,13 +164,6 @@ def real_law(
     coords = prover_coefficient_coords(params)
     cidx = {c: j for j, c in enumerate(coords)}
     zh = univariate_from_roots(params.h, p)
-
-    def zh_at(x: int) -> int:
-        acc = 0
-        for k in range(zh.size - 1, -1, -1):
-            acc = (acc * x + int(zh[k])) % p
-        return acc
-
     l_rows = np.zeros((len(steps), len(coords)), dtype=np.int64)
     off = np.zeros(len(steps), dtype=np.int64)
     cube = params.cube
@@ -223,7 +186,7 @@ def real_law(
                     w = 0
                     for tail in tails:
                         full = pt + tail
-                        w += zh_at(full[i]) * eval_monomial(e, full, p)
+                        w += eval_univariate(zh, full[i], p) * eval_monomial(e, full, p)
                     if w % p:
                         l_rows[si, cidx[("T", i, e)]] = w % p
         elif oracle == "q":

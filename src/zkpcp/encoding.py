@@ -3,13 +3,13 @@
 An encoding spec bundles a constraint locator with a message oracle. A
 session answers queries one at a time, each answer drawn from the exact
 conditional distribution of the encoding given everything answered so far:
-forced when some located constraint pins it, uniform otherwise. The same
-row construction feeds the symbolic audit, which accumulates the rows
-instead of sampling.
+forced when some located constraint pins it, uniform otherwise. The proof
+simulator draws through the same sampler, ``sample_new``, and the symbolic
+audit accumulates the same rows instead of sampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .antisym import antisym_locate
 from .domains import Point, ProductSet, hypercube
 from .field import Field
-from .linalg import kernel_basis
+from .linalg import project_constraints, sample_affine
 from .rm import CodeView
 from .rm_locator import ColKey, LocatorOutput
 from .sigma_rm import sigma_rm_locate
@@ -74,6 +74,29 @@ def constraint_rows_for(
     return rows, loc.r
 
 
+def sample_new(rows, value_of, new_coords: Sequence, p: int, rng) -> Optional[np.ndarray]:
+    """Uniform draw of ``new_coords`` from the solutions of ``rows``.
+
+    Each row is (coefficients keyed by coordinate, rhs), as built by
+    ``constraint_rows_for`` or ``pcp.gather_state_rows``; coordinates outside
+    ``new_coords`` are already answered and read through ``value_of``. Returns the values in
+    ``new_coords`` order, or None if the rows admit none. Forced coordinates
+    consume no randomness; each free one is drawn like ``Field.sample``.
+    """
+    uidx = {c: j for j, c in enumerate(new_coords)}
+    a_mat = np.zeros((len(rows), len(new_coords)), dtype=np.int64)
+    b_vec = np.zeros(len(rows), dtype=np.int64)
+    for ri, (coef, rhs) in enumerate(rows):
+        acc = rhs
+        for c, v in coef.items():
+            if c in uidx:
+                a_mat[ri, uidx[c]] = (a_mat[ri, uidx[c]] + v) % p
+            else:
+                acc = (acc - v * value_of(c)) % p
+        b_vec[ri] = acc
+    return sample_affine(a_mat, b_vec, p, rng)
+
+
 class SimSession:
     """Stateful per-verifier simulator session for one encoding.
 
@@ -92,29 +115,15 @@ class SimSession:
         alpha = tuple(int(c) for c in alpha)
         if alpha in self.answers:
             return self.answers[alpha]
-        p = self.spec.p
-        pts = list(self.answers) + [alpha]
-        rows, reads = constraint_rows_for(self.spec, pts)
+        rows, reads = constraint_rows_for(self.spec, list(self.answers) + [alpha])
         self.messages_read.update(reads)
-        forced: Optional[int] = None
-        for coef, rhs in rows:
-            c_alpha = coef.get(alpha, 0)
-            rest = sum(c * self.answers[q] for q, c in coef.items() if q != alpha) % p
-            if c_alpha:
-                val = ((rhs - rest) * pow(c_alpha, -1, p)) % p
-                if forced is None:
-                    forced = val
-                elif forced != val:
-                    raise InconsistentQueryAnswers(
-                        f"conflicting forced values at {alpha}"
-                    )
-            elif rest != rhs % p:
-                raise InconsistentQueryAnswers(
-                    f"recorded answers violate a constraint on {list(coef)}"
-                )
-        beta = forced if forced is not None else self.spec.fld.sample(self.rng)
-        self.answers[alpha] = beta
-        return beta
+        sol = sample_new(rows, self.answers.__getitem__, [alpha], self.spec.p, self.rng)
+        if sol is None:
+            raise InconsistentQueryAnswers(
+                f"recorded answers admit no value at {alpha}"
+            )
+        self.answers[alpha] = int(sol[0])
+        return self.answers[alpha]
 
 
 def identity_spec(fld: Field, name: str = "identity") -> EncodingSpec:
@@ -175,25 +184,13 @@ def compose(inner: EncodingSpec, outer: EncodingSpec, name: str | None = None) -
                         row[idx[("m", q) if kind == "m" else ("mid", q)]] + c
                     ) % p
             rows.append(row)
-        z_star = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, len(cols)), dtype=np.int64)
-        )
+        z_star = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
         keep = [j for j, (kind, _) in enumerate(cols) if kind != "mid"]
-        kernel = kernel_basis(z_star, p)
-        projected = (
-            kernel[:, keep]
-            if kernel.size
-            else np.zeros((0, len(keep)), dtype=np.int64)
+        return LocatorOutput(
+            r=tuple(in_loc.r),
+            cols=tuple(cols[j] for j in keep),
+            z=project_constraints(z_star, keep, p),
         )
-        z = (
-            kernel_basis(projected, p)
-            if projected.shape[0]
-            else np.eye(len(keep), dtype=np.int64)
-        )
-        kept_cols = tuple(cols[j] for j in keep)
-        return LocatorOutput(r=tuple(in_loc.r), cols=kept_cols, z=z)
 
     return EncodingSpec(
         name or f"{outer.name}∘{inner.name}", inner.fld, locate, inner.message_oracle

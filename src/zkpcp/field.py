@@ -43,26 +43,6 @@ class Field:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
-
     def sample(self, rng) -> int:
         """Uniform field element via rejection sampling from uniform bits.
 
@@ -90,6 +70,3 @@ class Field:
             filled += good.size
         return out.reshape(shape)
 
-    @property
-    def elements(self) -> range:
-        return range(self.p)

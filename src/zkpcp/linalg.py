@@ -75,6 +75,17 @@ def kernel_basis(a, p: int) -> np.ndarray:
     return basis
 
 
+def project_constraints(rows, keep, p: int) -> np.ndarray:
+    """Basis of the constraints on the ``keep`` columns implied by ``rows``.
+
+    The solutions of ``rows`` are projected onto the kept columns and the
+    projection is dualised. Empty cases need no branch: the kernel of a
+    zero-row matrix is the identity, and the dual of a zero-row projection is
+    the identity on the kept columns.
+    """
+    return kernel_basis(kernel_basis(rows, p)[:, keep], p)
+
+
 def image_dual_basis(m, bperp, p: int) -> np.ndarray:
     """Basis (as rows) of the dual of {M u : u in U}, given a basis of U-dual.
 
@@ -182,16 +193,6 @@ class AffineSystem:
 def sample_affine(a, b, p: int, rng) -> Optional[np.ndarray]:
     """Uniformly random solution of A x = b, or None if inconsistent."""
     return AffineSystem(a, b, p).sample(rng)
-
-
-def span_contains(basis_rows, v, p: int) -> bool:
-    """Whether v lies in the row span of basis_rows."""
-    basis_rows = np.asarray(basis_rows, dtype=np.int64) % p
-    v = np.asarray(v, dtype=np.int64) % p
-    if basis_rows.size == 0:
-        return not np.any(v)
-    stacked = np.vstack([basis_rows, v])
-    return rank(stacked, p) == rank(basis_rows, p)
 
 
 def spans_equal(a_rows, b_rows, p: int) -> bool:

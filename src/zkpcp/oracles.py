@@ -8,7 +8,6 @@ as the reference side of equivalence tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -100,26 +99,6 @@ def affine_sets_equal(off_a, rows_a, off_b, rows_b, p: int) -> bool:
     return rank(stacked, p) == rank(rows_a, p)
 
 
-def attainable_answers_rm(
-    view: CodeView, a: ProductSet, msg: dict[Point, int], pts: list[Point]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(offset, direction rows) of {LDE(msg) answers on pts} for a fixed msg.
-
-    Computed as a coset: one particular extension plus the restriction of the
-    zero code, both built directly from coefficient space.
-    """
-    from .poly import embed, interpolate, zero_code_poly_basis
-
-    p = view.p
-    base = embed(interpolate(msg, a, p), view.dv, p)
-    off = np.array([base.eval(pt) for pt in pts], dtype=np.int64)
-    zbasis = zero_code_poly_basis(a, view.dv, p)
-    rows = np.array(
-        [[q.eval(pt) for pt in pts] for q in zbasis], dtype=np.int64
-    ).reshape(len(zbasis), len(pts))
-    return off, rows
-
-
 def antisym_basis(a: ProductSet, p: int) -> list[dict[Point, int]]:
     """Basis of the antisymmetric function space on the cube.
 
@@ -169,12 +148,6 @@ def _sum_word_value(values: dict[Point, int], a: ProductSet, pt: Point, default=
         else:
             total += values.get(x, default)
     return total
-
-
-def enumerate_functions(domain: list, p: int):
-    """All maps domain -> GF(p), as dicts."""
-    for combo in product(range(p), repeat=len(domain)):
-        yield dict(zip(domain, combo))
 
 
 def sigma_code_rows(

@@ -18,11 +18,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import Point, hypercube, rev_point
-from .encoding import EncodingSpec, enc_pcp_spec
+from .encoding import EncodingSpec, enc_pcp_spec, sample_new
 from .field import Field, is_prime, next_prime
-from .linalg import sample_affine
 from .poly import (
     MultiPoly,
+    eval_univariate,
     lagrange_univariate,
     univariate_from_roots,
     vandermonde,
@@ -218,12 +218,7 @@ def _reverse_table(table: np.ndarray) -> np.ndarray:
 def _mask_table(params: SumcheckParams, q_tab: np.ndarray, t_tabs: list[np.ndarray]) -> np.ndarray:
     p = params.p
     zh = univariate_from_roots(params.h, p)
-    zh_vals = np.zeros(p, dtype=np.int64)
-    for x in range(p):
-        acc = 0
-        for k in range(zh.size - 1, -1, -1):
-            acc = (acc * x + int(zh[k])) % p
-        zh_vals[x] = acc
+    zh_vals = np.array([eval_univariate(zh, x, p) for x in range(p)], dtype=np.int64)
     # |accumulated| < p + m p^2, far below int64 overflow: one final reduction
     r_tab = q_tab - _reverse_table(q_tab)
     for i in range(params.m):
@@ -315,15 +310,8 @@ def _fit_univariate(nodes: Sequence[int], values: Sequence[int], p: int) -> np.n
     return (vinv @ np.asarray(values, dtype=np.int64)) % p
 
 
-def _horner(coeffs: np.ndarray, x: int, p: int) -> int:
-    acc = 0
-    for k in range(coeffs.size - 1, -1, -1):
-        acc = (acc * x + int(coeffs[k])) % p
-    return acc
-
-
 def _interp_eval(nodes: Sequence[int], values: Sequence[int], x: int, p: int) -> int:
-    return _horner(_fit_univariate(nodes, values, p), x, p)
+    return eval_univariate(_fit_univariate(nodes, values, p), x, p)
 
 
 @lru_cache(maxsize=16)
@@ -382,10 +370,7 @@ def verify(
     r_val = (ask("q", alpha) - ask("q", rev_point(alpha))) % p
     zh = univariate_from_roots(params.h, p)
     for i in range(m):
-        acc = 0
-        for k in range(zh.size - 1, -1, -1):
-            acc = (acc * alpha[i] + int(zh[k])) % p
-        r_val = (r_val + acc * ask(f"t{i}", alpha)) % p
+        r_val = (r_val + eval_univariate(zh, alpha[i], p) * ask(f"t{i}", alpha)) % p
     if (f_eval(alpha) + r_val) % p != prev:
         return VerifyResult(False, "final consistency check failed", log, path)
 
@@ -411,6 +396,74 @@ def verify(
                     False, f"degree test failed on {name} axis {axis}", log, path
                 )
     return VerifyResult(True, "accept", log, path)
+
+
+class ViewState:
+    """The coordinates of a simulated view and the rows that tie them.
+
+    Coordinates are ("s", pt), ("q", pt), ("t", i, pt). The simulator samples
+    the coordinates each query brings in; the audit accumulates the same
+    rows symbolically, so both run this one activation rule.
+    """
+
+    def __init__(
+        self,
+        params: SumcheckParams,
+        f_eval: Callable[[Point], int],
+        gamma: int,
+        include_mask_row: bool = True,
+    ):
+        self.params = params
+        self.f_eval = f_eval
+        self.include_mask_row = include_mask_row
+        self.spec: EncodingSpec = enc_pcp_spec(
+            params.fld, params.m, params.d, params.h, f_eval, gamma
+        )
+        self.sig_pts: set[Point] = set()
+        self.q_pts: set[Point] = set()
+        # the full-arity points of sig_pts, in order of arrival; every T_i
+        # table holds exactly these points
+        self.activated: list[Point] = []
+
+    def admit(self, oracle: str, pt: Point) -> list:
+        """Bring the queried coordinate into the view.
+
+        Returns the coordinates that enter with it, in sampling order, or []
+        when it is already in the view.
+        """
+        m = self.params.m
+        if oracle != "sigma" and len(pt) != m:
+            raise ValueError("mask tables are indexed by full-arity points")
+        if pt in (self.q_pts if oracle == "q" else self.sig_pts):
+            return []
+        new: list = [("s", pt)]
+        self.sig_pts.add(pt)
+        # Any full-arity point entering the view materialises its mask
+        # coordinates: the pointwise mask identity entangles the proof word
+        # with the tables there, and committing the latent values now (drawn
+        # from their exact conditional) is just lazy sampling of the
+        # prover's randomness.
+        if len(pt) == m:
+            pair = {pt, rev_point(pt)}
+            new.extend(("q", q) for q in sorted(pair - self.q_pts))
+            self.q_pts |= pair
+            new.extend(("t", i, pt) for i in range(m))
+            self.activated.append(pt)
+        return new
+
+    def rows(self):
+        """Every row over the current view: (rows, message positions read)."""
+        t_pts = sorted(self.activated)
+        return gather_state_rows(
+            self.params,
+            self.f_eval,
+            self.spec,
+            sorted(self.sig_pts, key=lambda q: (len(q), q)),
+            sorted(self.q_pts),
+            [t_pts] * self.params.m,
+            self.activated,
+            self.include_mask_row,
+        )
 
 
 class SimulatorSession:
@@ -439,20 +492,16 @@ class SimulatorSession:
         self.f_eval = f_eval
         self.gamma = gamma % params.p
         self.rng = rng
-        self.include_mask_row = include_mask_row
         if check_statement:
             total = 0
             for pt in params.cube.points():
                 total = (total + f_eval(pt)) % params.p
             if total != self.gamma:
                 raise ValueError("simulator is only defined on true statements")
-        self.spec: EncodingSpec = enc_pcp_spec(
-            params.fld, params.m, params.d, params.h, f_eval, self.gamma
-        )
+        self.view = ViewState(params, f_eval, self.gamma, include_mask_row)
         self.sig_vals: dict[Point, int] = {}
         self.q_vals: dict[Point, int] = {}
         self.t_vals: list[dict[Point, int]] = [dict() for _ in range(params.m)]
-        self.activated: list[Point] = []
         self.messages_read: set[Point] = set()
         self.transcript: list[tuple[str, Point, int]] = []
 
@@ -473,54 +522,14 @@ class SimulatorSession:
         return self.t_vals[int(oracle[1:])]
 
     def _extend(self, oracle: str, pt: Point):
-        params = self.params
-        if oracle != "sigma" and len(pt) != params.m:
-            raise ValueError("mask tables are indexed by full-arity points")
-        sig_pts = sorted(self.sig_vals, key=lambda q: (len(q), q))
-        q_pts = sorted(self.q_vals)
-        t_pts = [sorted(vals) for vals in self.t_vals]
-        mask_pts = list(self.activated)
-        new_coords: list = []
-        if pt not in self.sig_vals:
-            new_coords.append(("s", pt))
-        sig_pts = sorted(set(sig_pts) | {pt}, key=lambda q: (len(q), q))
-        # Any full-arity point entering the view materialises its mask
-        # coordinates: the pointwise mask identity entangles the proof word
-        # with the tables there, and committing the latent values now (drawn
-        # from their exact conditional) is just lazy sampling of the
-        # prover's randomness.
-        if len(pt) == params.m:
-            for q in sorted({pt, rev_point(pt)} - set(self.q_vals)):
-                new_coords.append(("q", q))
-            q_pts = sorted(set(q_pts) | {pt, rev_point(pt)})
-            for i in range(params.m):
-                if pt not in self.t_vals[i]:
-                    new_coords.append(("t", i, pt))
-                t_pts[i] = sorted(set(t_pts[i]) | {pt})
-            mask_pts.append(pt)
-        rows, reads = gather_state_rows(
-            params, self.f_eval, self.spec, sig_pts, q_pts, t_pts,
-            mask_pts, self.include_mask_row,
-        )
+        new_coords = self.view.admit(oracle, pt)
+        rows, reads = self.view.rows()
         self.messages_read.update(reads)
-        uidx = {c: j for j, c in enumerate(new_coords)}
-        a_mat = np.zeros((len(rows), len(new_coords)), dtype=np.int64)
-        b_vec = np.zeros(len(rows), dtype=np.int64)
-        for ri, (coef, rhs) in enumerate(rows):
-            acc = rhs
-            for c, v in coef.items():
-                if c in uidx:
-                    a_mat[ri, uidx[c]] = (a_mat[ri, uidx[c]] + v) % params.p
-                else:
-                    acc = (acc - v * self._value(c)) % params.p
-            b_vec[ri] = acc
-        sol = sample_affine(a_mat, b_vec, params.p, self.rng)
+        sol = sample_new(rows, self._value, new_coords, self.params.p, self.rng)
         if sol is None:
             raise RuntimeError("simulator system inconsistent; detector bug")
         for c, v in zip(new_coords, sol):
             self._store(c, int(v))
-        if len(pt) == params.m and pt not in self.activated:
-            self.activated.append(pt)
 
     def _value(self, coord) -> int:
         if coord[0] == "s":
@@ -597,9 +606,7 @@ def mask_row(params: SumcheckParams, pt: Point, f_eval):
     coef[("q", pt)] = 1
     coef[("q", rp)] = (coef.get(("q", rp), 0) - 1) % p
     for i in range(params.m):
-        acc = 0
-        for k in range(zh.size - 1, -1, -1):
-            acc = (acc * pt[i] + int(zh[k])) % p
+        acc = eval_univariate(zh, pt[i], p)
         if acc:
             coef[("t", i, pt)] = (coef.get(("t", i, pt), 0) + acc) % p
     coef[("s", pt)] = (-1) % p
@@ -623,34 +630,46 @@ def serialize_proof(proof: ProofOracle) -> bytes:
 
 
 def deserialize_proof(blob: bytes) -> ProofOracle:
+    """Parse a serialised proof; any malformed input raises ValueError.
+
+    The header is checked with Python ints before anything is allocated or
+    the modulus is tested for primality: the tables it implies must fit the
+    dense size cap and fill the rest of the blob exactly. Every table entry
+    must then be a field element.
+    """
     if blob[:4] != MAGIC:
         raise ValueError("bad proof magic")
     off = 4
 
-    def take(n: int):
+    def take(n: int) -> list[int]:
         nonlocal off
+        if n > (len(blob) - off) // 8:
+            raise ValueError("truncated proof header")
         vals = struct.unpack_from(f"<{n}Q", blob, off)
         off += 8 * n
-        return vals
+        return list(vals)
 
-    p, m, d = take(3)
-    (hn,) = take(1)
+    p, m, d, hn = take(4)
     h = take(hn)
     (dn,) = take(1)
     nodes = take(dn)
-    params = PcpParams(int(p), int(m), int(d), tuple(map(int, h)), tuple(map(int, nodes)))
-
-    def table(shape):
-        n = int(np.prod(shape)) if shape else 1
-        vals = np.array(take(n), dtype=np.int64).reshape(shape)
-        return vals
-
-    sigma = [table((p,) * i) for i in range(m + 1)]
-    q = table((p,) * m)
-    t = [table((p,) * m) for _ in range(m)]
-    if off != len(blob):
-        raise ValueError("trailing bytes in proof")
-    return ProofOracle(params, sigma, q, t)
+    if dn != d + 1:
+        raise ValueError("need d + 1 distinct reading nodes")
+    if m > 64 or p ** max(m, 1) > DEFAULT_TABLE_CAP:
+        raise ValueError("dense proof tables exceed the size cap")
+    shapes = [(p,) * i for i in range(m + 1)] + [(p,) * m] * (m + 1)
+    sizes = [p ** len(shape) for shape in shapes]
+    if len(blob) - off != 8 * sum(sizes):
+        raise ValueError("proof length does not match its header")
+    params = PcpParams(p, m, d, tuple(h), tuple(nodes))
+    if params.h != tuple(h):
+        raise ValueError("summation set must be strictly increasing")
+    flat = np.frombuffer(blob, "<u8", sum(sizes), off)
+    if flat.size and int(flat.max()) >= p:
+        raise ValueError("proof entry is not a field element")
+    parts = np.split(flat.astype(np.int64), np.cumsum(sizes)[:-1])
+    tables = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return ProofOracle(params, tables[: m + 1], tables[m + 1], tables[m + 2 :])
 
 
 @dataclass(frozen=True)

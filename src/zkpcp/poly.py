@@ -105,11 +105,6 @@ class MultiPoly:
         return not np.any(self.coeffs)
 
 
-def constant(p: int, value: int, m: int) -> MultiPoly:
-    c = np.full((1,) * m, value % p, dtype=np.int64)
-    return MultiPoly(p, c.reshape((1,) * m) if m else np.array(value % p))
-
-
 def vandermonde(nodes: Sequence[int], degree: int, p: int) -> np.ndarray:
     """|nodes| x (degree+1) matrix of powers node^k mod p."""
     v = np.empty((len(nodes), degree + 1), dtype=np.int64)
@@ -128,6 +123,14 @@ def univariate_from_roots(roots: Iterable[int], p: int) -> np.ndarray:
         nxt[:-1] -= (r % p) * c
         c = nxt % p
     return c
+
+
+def eval_univariate(coeffs: np.ndarray, x: int, p: int) -> int:
+    """Horner evaluation of ascending coefficients at x."""
+    acc = 0
+    for k in range(coeffs.size - 1, -1, -1):
+        acc = (acc * x + int(coeffs[k])) % p
+    return acc
 
 
 def vanishing(s: Iterable[int], p: int) -> MultiPoly:
@@ -276,11 +279,6 @@ def subcube_sum(poly: MultiPoly, a: ProductSet, prefix: Point) -> int:
     for tail in a.suffix_points(len(prefix)):
         total += poly.eval(prefix + tail)
     return total % poly.p
-
-
-def sum_word(poly: MultiPoly, a: ProductSet, pts: Iterable[Point]) -> dict[Point, int]:
-    """Subcube sums of poly at each requested prefix point."""
-    return {pt: subcube_sum(poly, a, pt) for pt in pts}
 
 
 def monomial_exponents(dv: DegreeVector):

@@ -15,7 +15,12 @@ import numpy as np
 from .domains import Point, ProductSet, dedup_points
 from .field import Field
 from .linalg import image_dual_basis, kernel_basis
-from .poly import eval_monomial, monomial_exponents, univariate_from_roots
+from .poly import (
+    eval_monomial,
+    eval_univariate,
+    monomial_exponents,
+    univariate_from_roots,
+)
 
 
 @dataclass(frozen=True)
@@ -129,10 +134,7 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     for i in range(view.m):
         zs = univariate_from_roots(s.factors[i], p)
         for j, pt in enumerate(dom):
-            acc = 0
-            for k in range(zs.size - 1, -1, -1):
-                acc = (acc * pt[i] + int(zs[k])) % p
-            a_mat[i * n + j, j] = acc
+            a_mat[i * n + j, j] = eval_univariate(zs, pt[i], p)
 
     g = (basis @ a_mat).T % p  # n x k generator of the restricted zero code
     h = image_dual_basis(g, np.zeros((0, g.shape[1]), dtype=np.int64), p)

@@ -8,14 +8,13 @@ decomposition and projects out the auxiliary closure points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .domains import Point, ProductSet, a_closure, dedup_points, sort_points
-from .linalg import kernel_basis
-from .poly import lagrange_univariate
+from .linalg import project_constraints
+from .poly import eval_univariate, lagrange_univariate
 from .rm import CodeView
 from .rm_locator import ColKey, LocatorOutput, rm_locate
 
@@ -38,13 +37,6 @@ def flatten(
         raise ValueError("anchor must belong to the folded factor")
     dom = set(domain)
     lag = lagrange_univariate(a.factors[axis - 1], anchor, p)
-
-    def lag_at(x: int) -> int:
-        acc = 0
-        for k in range(lag.size - 1, -1, -1):
-            acc = (acc * x + int(lag[k])) % p
-        return acc
-
     out: dict[Point, int] = {}
     for s in sort_points(dom):
         if len(s) == axis:
@@ -54,40 +46,9 @@ def flatten(
             children = [q for q in dom if len(q) == axis and q[:-1] == s]
             if children:
                 for q in children:
-                    val = (val + z.get(q, 0) * lag_at(q[-1])) % p
+                    val = (val + z.get(q, 0) * eval_univariate(lag, q[-1], p)) % p
         out[s] = val
     return out
-
-
-@dataclass(frozen=True)
-class SigmaLocatorOutput:
-    """(R-hat, B) for the sum-code encoding; columns as in LocatorOutput."""
-
-    rhat: tuple[Point, ...]
-    cols: tuple[ColKey, ...]
-    b: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def r(self) -> tuple[Point, ...]:
-        return self.rhat
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.b
-
-    @property
-    def query_points(self) -> tuple[Point, ...]:
-        return tuple(pt for kind, pt in self.cols if kind == "c")
-
-    def kernel_contains(self, msg: dict[Point, int], beta: dict[Point, int], p: int) -> bool:
-        v = np.array(
-            [(msg[pt] if kind == "m" else beta[pt]) % p for kind, pt in self.cols],
-            dtype=np.int64,
-        )
-        if self.b.shape[0] == 0:
-            return True
-        return not np.any((self.b @ v) % p)
 
 
 def summation_rows(
@@ -112,7 +73,7 @@ def summation_rows(
 
 def sigma_rm_locate(
     view: CodeView, a: ProductSet, pts: Sequence[Point]
-) -> SigmaLocatorOutput:
+) -> LocatorOutput:
     """Locator for the encoding that augments a random extension with all of
     its subcube sums over the product set.
 
@@ -169,31 +130,16 @@ def sigma_rm_locate(
             row[idx[("c", q)]] = (row[idx[("c", q)]] - 1) % p
             rows.append(row)
 
-    z = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, len(cols)), dtype=np.int64)
-    )
+    z = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
     keep = [j for j, (kind, q) in enumerate(cols) if kind == "m" or q in set(queries)]
     kept_cols = [cols[j] for j in keep]
-    kernel = kernel_basis(z, p)
-    projected = kernel[:, keep] if kernel.size else np.zeros((0, len(keep)), dtype=np.int64)
-    b = _dual_of_rows(projected, len(keep), p)
     ordered_cols = [c for c in kept_cols if c[0] == "m"] + [
         ("c", q) for q in queries
     ]
     perm = [kept_cols.index(c) for c in ordered_cols]
-    b = b[:, perm] if b.size else b.reshape(0, len(perm))
-    return SigmaLocatorOutput(
-        rhat=tuple(rhat),
+    return LocatorOutput(
+        r=tuple(rhat),
         cols=tuple(ordered_cols),
-        b=b,
+        z=project_constraints(z, keep, p)[:, perm],
         meta={"per_arity": per_arity, "ihat": ihat},
     )
-
-
-def _dual_of_rows(rows: np.ndarray, width: int, p: int) -> np.ndarray:
-    """Basis of {z : every given row r satisfies r . z = 0}."""
-    if rows.shape[0] == 0:
-        return np.eye(width, dtype=np.int64)
-    return kernel_basis(rows, p)

@@ -151,7 +151,7 @@ def test_criterion_2_locality_bounds():
         pts = rng.sample(pool3, rng.randrange(1, 5))
         out = sigma_rm_locate(view3, a3, pts)
         bound = len(pts) * m * (m * (amax + 1) + 1) ** 2
-        sig_viol += len(out.rhat) > bound
+        sig_viol += len(out.r) > bound
 
     a_m3 = hypercube((0, 1), 3)
     pool_m3 = []

@@ -232,3 +232,20 @@ def test_full_t_line_consistent_at_arity_one():
         assert len(diffs) == 1  # degree <= 1
         for x in range(11):
             assert sim.sig_vals[(x,)] == (poly.eval((x,)) + x * (x - 1) * t0[x]) % 11
+
+
+def test_simulator_draws_lie_in_the_symbolic_law():
+    # The simulator and the audit run one view state: the simulator samples
+    # exactly the law's coordinates, and its values satisfy every law row.
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    poly = xy_poly(5)
+    steps = [("sigma", (2,)), ("q", (2, 3)), ("t0", (3, 2)), ("sigma", (3, 2)),
+             ("q", (3, 2)), ("sigma", ())]
+    law, keys = symbolic_simulator_law(params, poly.eval, 1, steps)
+    for seed in range(3):
+        sim = SimulatorSession(params, poly.eval, 1, random.Random(seed))
+        answers = [sim.query(o, pt) for o, pt in steps]
+        assert answers == [sim._value(k) for k in keys]
+        x = np.array([sim._value(k) for k in law.coords], dtype=np.int64)
+        for row, rhs in zip(law.rows, law.rhs):  # rows end at their step
+            assert int(row @ x[: row.size]) % 5 == rhs

@@ -141,3 +141,14 @@ def test_malformed_inputs_exit_nonzero(tmp_path):
     )
     assert code == 2
     assert recs[-1]["record"] == "error"
+
+
+def test_verify_refuses_malformed_proof(cnf_file, tmp_path):
+    bad = tmp_path / "short.bin"
+    bad.write_bytes(b"ZKP1\x05\x00")
+    code, recs = run_cli(
+        "verify", "--cnf", cnf_file, "--count", "3", "--proof", str(bad)
+    )
+    assert code == 2
+    assert recs[-1]["record"] == "error"
+    assert "truncated" in recs[-1]["message"]

@@ -14,6 +14,7 @@ from zkpcp.encoding import (
     constraint_rows_for,
     enc_pcp_spec,
     identity_spec,
+    sample_new,
 )
 from zkpcp.field import Field
 from zkpcp.oracles import affine_sets_equal, antisym_basis
@@ -70,6 +71,22 @@ def test_antisym_session_bot_forced():
     spec = antisym_spec(fld, a, lambda q: msg[q])
     for seed in range(8):
         assert SimSession(spec, random.Random(seed)).query(()) == gamma
+
+
+def test_sample_new_draws_like_field_sample():
+    # one free coordinate takes the stream's next field sample; a forced one
+    # takes its value without touching the stream
+    fld = Field(7)
+    for seed in range(5):
+        rng = random.Random(seed)
+        sol = sample_new([({"y": 1}, 0)], {"y": 0}.__getitem__, ["x"], 7, rng)
+        assert int(sol[0]) == fld.sample(random.Random(seed))
+        rng = random.Random(seed)
+        state = rng.getstate()
+        sol = sample_new([({"x": 2, "y": 1}, 3)], {"y": 5}.__getitem__, ["x"], 7, rng)
+        assert int(sol[0]) == (3 - 5) * pow(2, -1, 7) % 7
+        assert rng.getstate() == state
+    assert sample_new([({"y": 1}, 1)], {"y": 0}.__getitem__, ["x"], 7, rng) is None
 
 
 def test_inconsistent_state_raises():

@@ -203,9 +203,9 @@ def test_sigma_locator_contract_vs_affine_oracle(dv):
             )
             mcols = [j for j, (kind, _) in enumerate(out.cols) if kind == "m"]
             ccols = [j for j, (kind, _) in enumerate(out.cols) if kind == "c"]
-            if out.b.shape[0]:
-                a_mat = out.b[:, ccols]
-                b_vec = (-(out.b[:, mcols] @ fixed)) % p
+            if out.z.shape[0]:
+                a_mat = out.z[:, ccols]
+                b_vec = (-(out.z[:, mcols] @ fixed)) % p
             else:
                 a_mat = np.zeros((0, len(ccols)), dtype=np.int64)
                 b_vec = np.zeros(0, dtype=np.int64)
@@ -231,7 +231,7 @@ def test_sigma_locator_locality_bound():
         pts = rng.sample(pool, rng.randrange(1, 5))
         out = sigma_rm_locate(view, a, pts)
         bound = len(pts) * m * (m * (amax + 1) + 1) ** 2
-        assert len(out.rhat) <= bound
+        assert len(out.r) <= bound
 
 
 def zero_pinned_restriction(p, f, dv, pin_pts, s_pts):
