@@ -221,22 +221,51 @@ class BranchStep:
 Script = list  # of ScriptStep | BranchStep
 
 
-def parse_script(obj: dict) -> Script:
+def parse_script(obj) -> Script:
+    """Script from its JSON form; any malformed script raises ValueError.
+
+    Every query names a known oracle (``sigma``, ``q`` or ``t<i>``) and an
+    integer point, and a branch compares the answer of an earlier step.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
+        raise ValueError("script must be an object with a list of steps")
     steps: Script = []
-    for raw in obj["steps"]:
-        if "if" in raw:
+    for i, raw in enumerate(obj["steps"]):
+        if isinstance(raw, dict) and "if" in raw:
             cond = raw["if"]
+            if not isinstance(cond, dict) or not all(
+                _is_int(cond.get(k)) for k in ("step", "equals")
+            ):
+                raise ValueError(f"step {i}: a branch needs integer step and equals")
+            if not 0 <= cond["step"] < i:
+                raise ValueError(f"step {i}: a branch must refer to an earlier step")
             steps.append(
                 BranchStep(
-                    int(cond["step"]),
-                    int(cond["equals"]),
-                    ScriptStep(raw["then"]["oracle"], tuple(raw["then"]["point"])),
-                    ScriptStep(raw["else"]["oracle"], tuple(raw["else"]["point"])),
+                    cond["step"],
+                    cond["equals"],
+                    _parse_query(raw.get("then"), i),
+                    _parse_query(raw.get("else"), i),
                 )
             )
         else:
-            steps.append(ScriptStep(raw["oracle"], tuple(raw["point"])))
+            steps.append(_parse_query(raw, i))
     return steps
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_query(raw, i: int) -> ScriptStep:
+    oracle = raw.get("oracle") if isinstance(raw, dict) else None
+    if not isinstance(oracle, str) or not (
+        oracle in ("sigma", "q") or (oracle[:1] == "t" and oracle[1:].isdigit())
+    ):
+        raise ValueError(f"step {i}: unknown oracle {oracle!r}")
+    pt = raw.get("point")
+    if not isinstance(pt, list) or not all(_is_int(c) for c in pt):
+        raise ValueError(f"step {i}: the point must be a list of integers")
+    return ScriptStep(oracle, tuple(pt))
 
 
 def enumerate_branches(script: Script):

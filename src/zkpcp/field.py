@@ -9,6 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The largest int64 inner product the code forms runs over a whole view or
+# proof: at most (m + 3) * DEFAULT_TABLE_CAP < 2**29 entries, since the dense
+# tables hold p**m <= 2**24 entries each and so m <= 24. Each term is a product
+# of two reduced field elements, so 2**29 * (p - 1)**2 < 2**63 holds for every
+# p <= 2**17. Larger moduli would overflow silently and are refused.
+MAX_MODULUS = 1 << 17
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -40,6 +47,8 @@ class Field:
     p: int
 
     def __post_init__(self):
+        if self.p > MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} exceeds the bound {MAX_MODULUS}")
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

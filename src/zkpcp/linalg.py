@@ -4,6 +4,12 @@ Matrices are plain 2-D arrays with entries in [0, p); row/column key lists
 are carried separately by the callers that need named domains. The RREF here
 is the unique Gauss-Jordan normal form for the given column order, which is
 what makes kernel bases, interpolating sets and projections reproducible.
+
+Arithmetic is plain int64 with a reduction after every product, so a product
+of two entries stays below p**2 and an inner product over n entries below
+n * p**2. That is exact for every modulus up to ``field.MAX_MODULUS`` (2**17),
+which ``Field`` and ``SumcheckParams`` enforce; larger moduli overflow
+silently and are refused there.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivots) where pivots lists the leading-entry columns in
     order. Columns not listed are the free columns.
     """
-    m = as_matrix(a, p).copy()
+    m = as_matrix(a, p)
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -40,10 +46,11 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
         m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        for rr in other:
-            if rr != r:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        # clear the pivot column in every other row with one rank-1 update
+        f = m[:, c].copy()
+        f[r] = 0
+        m -= f[:, None] * m[r]
+        m %= p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -61,18 +68,17 @@ def kernel_basis(a, p: int) -> np.ndarray:
     strictly increasing column positions under the given column order.
     """
     m, pivots = rref(a, p)
-    rows, cols = m.shape
+    cols = m.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     if not free:
         return np.zeros((0, cols), dtype=np.int64)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, c in enumerate(pivots):
-            basis[i, c] = (-m[r, f]) % p
-    basis, _ = rref(basis, p)
-    basis = basis[~np.all(basis == 0, axis=1)]
-    return basis
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, pivots] = (-m[: len(pivots), free].T) % p
+    # The identity on the free columns makes the rows independent, but they
+    # are echelon only when no pivot column left of a free one is nonzero,
+    # so the unique form needs a second reduction.
+    return rref(basis, p)[0]
 
 
 def project_constraints(rows, keep, p: int) -> np.ndarray:

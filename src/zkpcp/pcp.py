@@ -19,7 +19,7 @@ import numpy as np
 
 from .domains import Point, hypercube, rev_point
 from .encoding import EncodingSpec, enc_pcp_spec, sample_new
-from .field import Field, is_prime, next_prime
+from .field import MAX_MODULUS, Field, is_prime, next_prime
 from .poly import (
     MultiPoly,
     eval_univariate,
@@ -121,6 +121,8 @@ class SumcheckParams:
     h: tuple[int, ...]
 
     def __post_init__(self):
+        if self.p > MAX_MODULUS:
+            raise ValueError(f"modulus exceeds the bound {MAX_MODULUS}")
         if not is_prime(self.p):
             raise ValueError("modulus must be prime")
         h = tuple(sorted(set(self.h)))
@@ -716,9 +718,9 @@ def pcp_for_sharp_sat(
     floor = max(10 * m * d, 2**m)
     if p is None:
         p = next_prime(floor)
-    elif p <= floor or not is_prime(p):
+    elif p <= floor:
         raise ValueError(f"modulus must be a prime above {floor}")
-    params = PcpParams(p, m, d, (0, 1))
+    params = PcpParams(p, m, d, (0, 1))  # bounds p, then tests primality
     assert params.meets_soundness_bound
     poly = arithmetize(cnf, p)
     return SharpSatPcp(cnf, claimed_count, params, poly)

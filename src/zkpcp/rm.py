@@ -14,13 +14,8 @@ import numpy as np
 
 from .domains import Point, ProductSet, dedup_points
 from .field import Field
-from .linalg import image_dual_basis, kernel_basis
-from .poly import (
-    eval_monomial,
-    eval_univariate,
-    monomial_exponents,
-    univariate_from_roots,
-)
+from .linalg import image_dual_basis, kernel_basis, rref
+from .poly import vandermonde
 
 
 @dataclass(frozen=True)
@@ -72,17 +67,27 @@ def rm_generator(view: CodeView, pts: Sequence[Point]) -> np.ndarray:
 
     The column span is the code restricted to the points. Degree vectors
     with a negative entry have no monomials, so the matrix has 0 columns.
+    Each row is the Kronecker product of the point's per-axis power rows,
+    first axis slowest, which is ``monomial_exponents`` order.
     """
     pts = list(pts)
     for pt in pts:
         if len(pt) != view.m:
             raise ValueError(f"point {pt} has arity != {view.m}")
-    exps = list(monomial_exponents(view.dv))
-    g = np.zeros((len(pts), len(exps)), dtype=np.int64)
-    for j, exp in enumerate(exps):
-        for i, pt in enumerate(pts):
-            g[i, j] = eval_monomial(exp, pt, view.p)
+    n, p = len(pts), view.p
+    if any(d < 0 for d in view.dv):
+        return np.zeros((n, 0), dtype=np.int64)
+    x = _coords(pts, view)
+    g = np.ones((n, 1), dtype=np.int64)
+    for i, d in enumerate(view.dv):
+        v = vandermonde(x[:, i], d, p)
+        g = (g[:, :, None] * v[:, None, :]).reshape(n, g.shape[1] * (d + 1)) % p
     return g
+
+
+def _coords(pts: Sequence[Point], view: CodeView) -> np.ndarray:
+    """The points as an (n, m) array of canonical field elements."""
+    return np.array(pts, dtype=np.int64).reshape(len(pts), view.m) % view.p
 
 
 def cd_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
@@ -100,43 +105,28 @@ def cd_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
 def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     """Constraint detector for the subcode vanishing on the marked product set.
 
-    Per-axis reduced-degree detectors are stacked block-diagonally; a kernel
-    basis of the stack is pushed through the vanishing-polynomial weights to
-    produce a generator matrix for the zero code's restriction, whose column
-    span is then dualised.
+    By the combinatorial nullstellensatz, the polynomials of individual degree
+    <= dv that vanish on S_1 x ... x S_m are exactly the sums
+    sum_i Z_{S_i}(X_i) g_i, with g_i of degree d_i - |S_i| in X_i and d_j in
+    the other variables. So the zero code restricted to the points is the
+    column span of the stacked per-axis generators, each row weighted by
+    Z_{S_i}(x_i), and that span is dualised.
     """
     if view.zero_on is None:
         raise ValueError("view has no zero-set marker; use cd_rm")
-    s = view.zero_on
     p = view.p
     dom = tuple(dedup_points(pts))
-    n = len(dom)
-    if n == 0:
+    if not dom:
         return ConstraintBasis(dom, np.zeros((0, 0), dtype=np.int64))
-
-    blocks = []
-    for i in range(view.m):
-        dv_i = tuple(
-            d - len(s.factors[i]) if j == i else d for j, d in enumerate(view.dv)
-        )
-        blocks.append(cd_rm(view.with_degrees(dv_i), dom).z)
-
-    total_rows = sum(b.shape[0] for b in blocks)
-    zprime = np.zeros((total_rows, view.m * n), dtype=np.int64)
-    r = 0
-    for i, b in enumerate(blocks):
-        zprime[r : r + b.shape[0], i * n : (i + 1) * n] = b
-        r += b.shape[0]
-
-    basis = kernel_basis(zprime, p)  # rows live on [m] x dom
-
-    a_mat = np.zeros((view.m * n, n), dtype=np.int64)
-    for i in range(view.m):
-        zs = univariate_from_roots(s.factors[i], p)
-        for j, pt in enumerate(dom):
-            a_mat[i * n + j, j] = eval_univariate(zs, pt[i], p)
-
-    g = (basis @ a_mat).T % p  # n x k generator of the restricted zero code
+    x = _coords(dom, view)
+    blocks = [np.zeros((len(dom), 0), dtype=np.int64)]
+    for i, s_i in enumerate(view.zero_on.factors):
+        z = np.ones(len(dom), dtype=np.int64)
+        for root in s_i:
+            z = z * ((x[:, i] - root) % p) % p
+        dv_i = tuple(d - len(s_i) if j == i else d for j, d in enumerate(view.dv))
+        blocks.append(z[:, None] * rm_generator(view.with_degrees(dv_i), dom) % p)
+    g = np.concatenate(blocks, axis=1)
     h = image_dual_basis(g, np.zeros((0, g.shape[1]), dtype=np.int64), p)
     return ConstraintBasis(dom, h)
 
@@ -157,7 +147,5 @@ def code_restriction_basis(view: CodeView, pts: Sequence[Point]) -> np.ndarray:
 
 
 def _col_span_rows(g: np.ndarray, p: int) -> np.ndarray:
-    from .linalg import rref
-
     r, piv = rref(g.T, p)
     return r[: len(piv)]

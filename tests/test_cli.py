@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CNF = """c x1 or x2
 p cnf 2 1
@@ -23,10 +27,12 @@ SCRIPT = {
 
 
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "zkpcp.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     records = [json.loads(line) for line in proc.stdout.splitlines() if line]
     return proc.returncode, records
@@ -139,6 +145,38 @@ def test_malformed_inputs_exit_nonzero(tmp_path):
     code, recs = run_cli(
         "prove", "--cnf", str(bad), "--count", "1", "--out", str(tmp_path / "x.bin")
     )
+    assert code == 2
+    assert recs[-1]["record"] == "error"
+
+
+def test_prove_refuses_modulus_above_bound(cnf_file, tmp_path):
+    code, recs = run_cli(
+        "prove", "--cnf", cnf_file, "--count", "3", "--field", "1099511627791",
+        "--out", str(tmp_path / "x.bin"),
+    )
+    assert code == 2
+    assert recs[-1]["record"] == "error"
+    assert "bound" in recs[-1]["message"]
+
+
+QUERY = {"oracle": "sigma", "point": [2]}
+BAD_SCRIPTS = {
+    "branch-on-later-step": {
+        "steps": [{"if": {"step": 3, "equals": 1}, "then": QUERY, "else": QUERY}]
+    },
+    "negative-step": {
+        "steps": [QUERY, {"if": {"step": -1, "equals": 1}, "then": QUERY, "else": QUERY}]
+    },
+    "missing-point": {"steps": [{"oracle": "sigma"}]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit-zk"])
+@pytest.mark.parametrize("case", sorted(BAD_SCRIPTS))
+def test_malformed_script_refused(command, case, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_SCRIPTS[case]))
+    code, recs = run_cli(command, "--field", "5", "--m", "2", "--script", str(path))
     assert code == 2
     assert recs[-1]["record"] == "error"
 

@@ -26,6 +26,48 @@ def brute_kernel(a, p):
     ]
 
 
+def gauss_jordan(a, p):
+    """Plain-Python Gauss-Jordan, one row operation at a time."""
+    rows, cols = a.shape
+    m = [[int(x) % p for x in row] for row in a]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_rref_matches_plain_gauss_jordan(p):
+    rng = np.random.default_rng(p)
+    shapes = [(64, k) for k in (1, 5, 13)] + [(k, 64) for k in (1, 5, 13)]
+    shapes += [(7, 7), (0, 4), (4, 0)]
+    for shape in shapes:
+        low_rank = rng.integers(0, p, (shape[0], 2)) @ rng.integers(0, p, (2, shape[1]))
+        for a in (
+            rng.integers(-p, 2 * p, shape),  # dense, entries not yet reduced
+            rng.integers(0, p, shape) * (rng.random(shape) < 0.2),  # sparse
+            low_rank,
+            np.zeros(shape, dtype=np.int64),
+        ):
+            r, piv = rref(a, p)
+            ref, ref_piv = gauss_jordan(a, p)
+            assert piv == ref_piv
+            assert r.dtype == np.int64
+            assert np.array_equal(r, ref)
+
+
 def test_rref_identity():
     m = np.eye(2, dtype=np.int64)
     r, piv = rref(m, 5)

@@ -1,13 +1,14 @@
 import itertools
 import random
 import struct
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from zkpcp.domains import hypercube
-from zkpcp.field import Field
+from zkpcp.field import MAX_MODULUS, Field
 from zkpcp.linalg import spans_equal
 from zkpcp.oracles import antisym_basis
 from zkpcp.pcp import (
@@ -86,6 +87,20 @@ p cnf 3 2
     assert cnf.clauses == ((1, -2), (2, 3))
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")
+
+
+def test_modulus_bound_checked_before_primality():
+    # both moduli are prime: int64 elimination overflows at 2**40 + 15, and
+    # trial division of 2**61 - 1 would run for minutes
+    for p in (1099511627791, 2**61 - 1):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="bound"):
+            Field(p)
+        with pytest.raises(ValueError, match="bound"):
+            SumcheckParams(p, 1, 3, (0, 1))
+        assert time.perf_counter() - t0 < 0.5
+    assert MAX_MODULUS == 2**17
+    assert Field(2**17 - 1).p == 2**17 - 1  # the largest prime within the bound
 
 
 def test_params_validation():

@@ -6,7 +6,8 @@ import pytest
 
 from zkpcp.domains import ProductSet, a_closure, is_a_closed
 from zkpcp.field import Field
-from zkpcp.linalg import AffineSystem, rank
+from zkpcp.linalg import AffineSystem, kernel_basis, rank
+from zkpcp.poly import eval_monomial, monomial_exponents
 from zkpcp.rm import CodeView, cd_rm, cd_zero_rm, code_restriction_basis, rm_generator
 
 
@@ -41,6 +42,37 @@ def test_generator_empty_domain():
     f = Field(5)
     g = rm_generator(CodeView(f, 1, (1,)), [])
     assert g.shape[0] == 0
+
+
+def reference_generator(view, pts):
+    """The evaluation matrix entry by entry, one monomial at a time."""
+    exps = list(monomial_exponents(view.dv))
+    g = np.zeros((len(pts), len(exps)), dtype=np.int64)
+    for i, pt in enumerate(pts):
+        for j, e in enumerate(exps):
+            g[i, j] = eval_monomial(e, pt, view.p)
+    return g
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_generator_matches_per_entry_monomials(p):
+    # negative degrees, empty domains, arity 0 and coordinates >= p included
+    rng = random.Random(50 + p)
+    f = Field(p)
+    for m in range(4):
+        for _ in range(12):
+            dv = tuple(rng.randrange(-2, 4) for _ in range(m))
+            pts = [
+                tuple(rng.randrange(3 * p) for _ in range(m))
+                for _ in range(rng.randrange(6))
+            ]
+            view = CodeView(f, m, dv)
+            g = rm_generator(view, pts)
+            assert g.dtype == np.int64
+            assert np.array_equal(g, reference_generator(view, pts))
+    assert rm_generator(CodeView(f, 0, ()), [(), ()]).tolist() == [[1], [1]]
+    assert rm_generator(CodeView(f, 2, (1, 2)), []).shape == (0, 6)
+    assert rm_generator(CodeView(f, 2, (1, -1)), [(0, 1)]).shape == (1, 0)
 
 
 def test_generator_interpolation_square():
@@ -157,6 +189,36 @@ def test_cd_zero_rm_empty_domain():
     f = Field(5)
     view = CodeView(f, 1, (2,), zero_on=ProductSet(((0, 1),)))
     assert cd_zero_rm(view, []).is_empty()
+
+
+def test_cd_zero_rm_arity_zero():
+    # the only arity-0 word vanishing on the one-point cube is 0
+    view = CodeView(Field(5), 0, (), zero_on=ProductSet(()))
+    out = cd_zero_rm(view, [(), ()])
+    assert out.domain == ((),)
+    assert out.z.tolist() == [[1]]
+    assert cd_zero_rm(view, []).z.shape == (0, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cd_zero_rm_is_the_reduced_dual_of_the_zero_code(p):
+    # the reduced dual is unique, so the detector must equal the one computed
+    # from the brute-force restriction of the zero code
+    rng = random.Random(60 + p)
+    f = Field(p)
+    for _ in range(15):
+        m = rng.choice([1, 2, 3])
+        s = ProductSet(
+            tuple(tuple(rng.sample(range(p), rng.randrange(1, 3))) for _ in range(m))
+        )
+        dv = tuple(rng.randrange(len(fac) - 1, 4) for fac in s.factors)
+        view = CodeView(f, m, dv, zero_on=s)
+        pts = [
+            tuple(rng.randrange(p) for _ in range(m)) for _ in range(rng.randrange(1, 8))
+        ]
+        out = cd_zero_rm(view, pts)
+        code = code_restriction_basis(view, out.domain)
+        assert np.array_equal(out.z, kernel_basis(code, p))
 
 
 @pytest.mark.parametrize("p", [3, 5])
