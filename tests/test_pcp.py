@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from zkpcp.audit import AuditError, ScriptStep, audit_script
 from zkpcp.domains import hypercube
 from zkpcp.field import MAX_MODULUS, Field
 from zkpcp.linalg import spans_equal
@@ -447,6 +448,85 @@ def test_view_record_replayable():
     for seed in (9, 10):
         assert run(seed).transcript[0][2] == Field(5).sample(random.Random(seed))
     assert run(9).transcript != run(10).transcript
+
+
+# Simulator transcripts for seeds 0-4, recorded before the view state moved
+# to one dense coordinate index. Any change to the sampler's column order,
+# row space or randomness use shows up here as a changed answer.
+GOLDEN_T_LINE_M1 = [
+    [6, 4, 2, 0, 9, 7, 5, 3, 1, 10, 8],
+    [9, 4, 10, 5, 0, 6, 1, 7, 2, 8, 3],
+    [1, 5, 9, 2, 6, 10, 3, 7, 0, 4, 8],
+    [9, 2, 6, 10, 3, 7, 0, 4, 8, 1, 5],
+    [4, 6, 8, 10, 1, 3, 5, 7, 9, 0, 2],
+]
+GOLDEN_MIXED_M2 = [
+    [3, 3, 3, 2, 0, 1],
+    [1, 4, 3, 1, 0, 1],
+    [0, 0, 2, 2, 0, 1],
+    [1, 4, 4, 1, 4, 1],
+    [1, 2, 1, 0, 0, 1],
+]
+
+
+@pytest.mark.parametrize(
+    "params, poly, gamma, steps, golden",
+    [
+        (
+            SumcheckParams(11, 1, 3, (0, 1)),
+            MultiPoly(11, np.array([3, 1, 4, 1], dtype=np.int64)),
+            (3 + 9) % 11,
+            [("t0", (x,)) for x in range(11)],
+            GOLDEN_T_LINE_M1,
+        ),
+        (
+            SumcheckParams(5, 2, 3, (0, 1)),
+            xy_poly(5),
+            1,
+            [("sigma", (2,)), ("q", (2, 3)), ("t0", (3, 2)), ("sigma", (3, 2)),
+             ("q", (3, 2)), ("sigma", ())],
+            GOLDEN_MIXED_M2,
+        ),
+    ],
+    ids=["t-line-m1", "mixed-m2"],
+)
+def test_simulator_transcripts_match_golden(params, poly, gamma, steps, golden):
+    assert gamma == sum(poly.eval(pt) for pt in params.cube.points()) % params.p
+    for seed, values in enumerate(golden):
+        sim = SimulatorSession(params, poly.eval, gamma, random.Random(seed))
+        for o, pt in steps:
+            sim.query(o, pt)
+        assert sim.transcript == [(o, pt, v) for (o, pt), v in zip(steps, values)]
+
+
+def _honest_transcript_m2():
+    """The honest verifier's 193 queries at p=5, m=2 on F = X1*X2, coins 2."""
+    params = PcpParams(5, 2, 3, (0, 1))
+    poly = xy_poly(5)
+    res = verify(poly.eval, params, prove(poly, params, random.Random(0)),
+                 random.Random(2), gamma=1)
+    assert res.accepted
+    return params, poly, [ScriptStep(o, pt) for o, pt, _ in res.queries]
+
+
+def test_audit_long_m2_transcript_prefix():
+    params, poly, steps = _honest_transcript_m2()
+    assert len(steps) == 193
+    assert audit_script(params, poly, 1, steps[:27]).tv == 0
+    # the chain check fires at the 28th query, a Q line read
+    with pytest.raises(AuditError, match="constrain already-sampled coordinates"):
+        audit_script(params, poly, 1, steps[:28])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AuditError,
+    reason="known defect: at m=2 the simulator's rows do not span the dual of "
+    "the joint (sigma, Q, T) code, so the chained law breaks mid-transcript",
+)
+def test_audit_long_m2_transcript():
+    params, poly, steps = _honest_transcript_m2()
+    assert audit_script(params, poly, 1, steps).tv == 0
 
 
 @pytest.mark.xfail(
