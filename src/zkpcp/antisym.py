@@ -6,7 +6,7 @@ enumerating cubes, so one side of a large/small split may be exponential.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -193,15 +193,7 @@ def enumerate_cube_points(prefixes: Iterable[Point], a: ProductSet, cap: int = 1
     return out
 
 
-@dataclass(frozen=True)
-class AntisymLocatorOutput(LocatorOutput):
-    """Locator output plus the combinatorial intermediates used by tests."""
-
-    g: tuple[Point, ...] = ()
-    families: SymFamily = field(default_factory=lambda: SymFamily(()))
-
-
-def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> AntisymLocatorOutput:
+def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> LocatorOutput:
     """Locator for the sum-word encoding masked by a random antisymmetric
     function. Messages live on the cube plus the total-sum coordinate.
 
@@ -262,11 +254,9 @@ def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> AntisymLo
 
     y = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
     keep = [j for j, (kind, _) in enumerate(cols) if kind != "g"]
-    return AntisymLocatorOutput(
+    return LocatorOutput(
         r=tuple(r_list),
         cols=tuple(cols[j] for j in keep),
         z=project_constraints(y, keep, p),
-        meta={"prefix_free": fam},
-        g=fam.g,
-        families=families,
+        meta={"prefix_free": fam, "families": families},
     )

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .domains import Point, rev_point
 from .linalg import AffineSystem, kernel_basis, rank, rref
-from .pcp import SumcheckParams, ViewState
+from .pcp import SumcheckParams, ViewState, gather_state_rows
 from .poly import (
     MultiPoly,
     eval_monomial,
@@ -35,82 +35,47 @@ class AuditError(Exception):
 
 
 class LinearLaw:
-    """Uniform law on the solution set of an accumulated linear system.
+    """Uniform law on the solution set of an accumulated system A x = b.
 
-    Coordinates are added in step batches; a step's rows may force new
-    coordinates but must never further constrain old ones (that would break
+    Columns are added in step batches, and the system is kept as the nonzero
+    rows of the reduced row echelon form of [A | b]. A step's rows may force
+    new columns but must never further constrain old ones (that would break
     the chained-uniformity invariant), which is checked exactly.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.coords: list = []
-        self.index: dict = {}
-        self.rows: list[np.ndarray] = []
-        self.rhs: list[int] = []
+        self.ab = np.zeros((0, 1), dtype=np.int64)
 
-    def ensure_coords(self, keys: Sequence) -> list:
-        fresh = []
-        for key in keys:
-            if key not in self.index:
-                self.index[key] = len(self.coords)
-                self.coords.append(key)
-                fresh.append(key)
-        return fresh
+    @property
+    def n(self) -> int:
+        return self.ab.shape[1] - 1
 
-    def _solution_dim(self, n_cols: int, rows, rhs) -> Optional[int]:
-        if not rows:
-            return n_cols
-        a = np.zeros((len(rows), n_cols), dtype=np.int64)
-        for i, r in enumerate(rows):
-            a[i, : r.size] = r
-        sys = AffineSystem(a, np.array(rhs, dtype=np.int64), self.p)
-        return sys.dim()
+    def add_step(self, n_new: int, a, b):
+        """Append ``n_new`` columns and the step's rows A x = b over all the
+        columns, checking the chain invariant.
 
-    def add_step(self, new_keys: Sequence, step_rows: list[tuple[dict, int]]):
-        """Install a step's coordinates and rows, checking the chain invariant."""
-        n_old = len(self.coords)
-        dim_old = self._solution_dim(n_old, self.rows, self.rhs)
-        if dim_old is None:
-            raise AuditError("accumulated system became inconsistent")
-        self.ensure_coords(new_keys)
-        n = len(self.coords)
-        for coef, rhs in step_rows:
-            row = np.zeros(n, dtype=np.int64)
-            for key, c in coef.items():
-                if key not in self.index:
-                    raise AuditError(f"row references unknown coordinate {key}")
-                row[self.index[key]] = (row[self.index[key]] + c) % self.p
-            self.rows.append(row)
-            self.rhs.append(int(rhs) % self.p)
-        dim_new = self._solution_dim(n, self.rows, self.rhs)
-        if dim_new is None:
+        The prefix law is preserved exactly when the old columns' marginal
+        keeps its dimension: rank(A') - rank(A' on the new columns) equals
+        the old rank, A' being the old rows stacked on the step's.
+        """
+        p, n_old = self.p, self.n
+        n = n_old + n_new
+        old = np.zeros((len(self.ab), n + 1), dtype=np.int64)
+        old[:, :n_old] = self.ab[:, :n_old]
+        old[:, n] = self.ab[:, n_old]
+        red, piv = rref(np.vstack([old, np.column_stack([a, b])]), p)
+        if n in piv:
             raise AuditError("step rows are inconsistent with the prefix law")
-        # the old marginal must be preserved: project the new solution set
-        off, dirs = self.marginal(self.coords[:n_old])
-        proj_dim = rank(dirs, self.p) if dirs.size else 0
-        if dim_old != proj_dim:
+        red = red[: len(piv)]
+        if len(piv) - rank(red[:, n_old:n], p) != len(self.ab):
             raise AuditError("step rows constrain already-sampled coordinates")
+        self.ab = red
 
-    def marginal(self, keys: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """(offset, direction rows) of the law's projection onto keys."""
-        n = len(self.coords)
-        cols = [self.index[k] for k in keys]
-        if not self.rows:
-            x0 = np.zeros(n, dtype=np.int64)
-            ker = np.eye(n, dtype=np.int64)
-        else:
-            a = np.zeros((len(self.rows), n), dtype=np.int64)
-            for i, r in enumerate(self.rows):
-                a[i, : r.size] = r
-            sys = AffineSystem(a, np.array(self.rhs, dtype=np.int64), self.p)
-            x0 = sys.solve()
-            if x0 is None:
-                raise AuditError("inconsistent accumulated system")
-            ker = sys.kernel()
-        off = x0[cols] if n else np.zeros(len(cols), dtype=np.int64)
-        dirs = ker[:, cols] if ker.size else np.zeros((0, len(cols)), dtype=np.int64)
-        return off % self.p, dirs % self.p
+    def marginal(self, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(offset, direction rows) of the law's projection onto columns."""
+        sys = AffineSystem(self.ab[:, :-1], self.ab[:, -1], self.p)
+        return sys.solve()[cols], sys.kernel()[:, cols]
 
 
 def symbolic_simulator_law(
@@ -119,26 +84,23 @@ def symbolic_simulator_law(
     gamma: int,
     steps: Sequence[tuple[str, Point]],
     include_mask_row: bool = True,
-) -> tuple[LinearLaw, list]:
+) -> tuple[LinearLaw, list[int]]:
     """Run the simulator's view state without sampling.
 
-    Returns the accumulated law plus, per step, the coordinate key whose
-    value the simulator would have returned.
+    Returns the accumulated law over the view's coordinates plus, per step,
+    the column whose value the simulator would have returned.
     """
     view = ViewState(params, f_eval, gamma, include_mask_row)
     law = LinearLaw(params.p)
-    answer_keys = []
+    answer_cols = []
     for oracle, pt in steps:
-        pt = tuple(int(c) for c in pt)
-        answer_keys.append(
-            ("s", pt)
-            if oracle == "sigma"
-            else ("q", pt) if oracle == "q" else ("t", int(oracle[1:]), pt)
-        )
-        new_keys = view.admit(oracle, pt)
-        if new_keys:
-            law.add_step(new_keys, view.rows()[0])
-    return law, answer_keys
+        c = view.coord(oracle, pt)
+        n_new = view.admit(c)
+        if n_new:
+            a, b, _ = gather_state_rows(view)
+            law.add_step(n_new, a, b)
+        answer_cols.append(view.index[c])
+    return law, answer_cols
 
 
 def prover_coefficient_coords(params: SumcheckParams) -> list:
@@ -404,10 +366,10 @@ def audit_script(
     per_branch = []
     all_equal = True
     for conds, steps in branches:
-        law, keys = symbolic_simulator_law(
+        law, cols = symbolic_simulator_law(
             params, f_poly.eval, gamma, steps, include_mask_row
         )
-        sim_off, sim_dirs = law.marginal(keys)
+        sim_off, sim_dirs = law.marginal(cols)
         re_off, re_dirs = real_law(params, f_poly, steps)
         equal = affine_sets_equal(sim_off, sim_dirs, re_off, re_dirs, p)
         all_equal = all_equal and equal

@@ -43,58 +43,41 @@ class EncodingSpec:
 
 def constraint_rows_for(
     spec: EncodingSpec, pts: Sequence[Point]
-) -> tuple[list[tuple[dict[Point, int], int]], tuple[Point, ...]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[Point, ...]]:
     """Locator rows for pts with message values substituted in.
 
-    Each returned row is (coefficients over encoding points, rhs); a vector
-    of answers satisfies the row when sum(coef * answer) == rhs mod p. Also
-    returns the message positions that were read.
+    Returns (A, b, message positions read): answers x at pts, in the given
+    order, are attainable exactly when A x = b mod p. Rows that vanish along
+    with their rhs are dropped.
     """
     if spec.message_oracle is None:
         raise ValueError("spec has no message oracle bound")
     loc = spec.locator(pts)
     p = spec.p
     msg = {q: spec.message_oracle(q) % p for q in loc.r}
-    rows = []
-    for zrow in loc.z:
-        coef: dict[Point, int] = {}
-        rhs = 0
-        for key, c in zip(loc.cols, zrow):
-            c = int(c)
-            if not c:
-                continue
-            kind, q = key
-            if kind == "m":
-                rhs = (rhs - c * msg[q]) % p
-            else:
-                coef[q] = (coef.get(q, 0) + c) % p
-        coef = {q: v for q, v in coef.items() if v}
-        if coef or rhs:
-            rows.append((coef, int(rhs)))
-    return rows, loc.r
+    col = {q: j for j, q in enumerate(pts)}
+    m_cols = [j for j, (kind, _) in enumerate(loc.cols) if kind == "m"]
+    c_cols = [j for j, (kind, _) in enumerate(loc.cols) if kind != "m"]
+    m_vals = np.array([msg[loc.cols[j][1]] for j in m_cols], dtype=np.int64)
+    b = (-(loc.z[:, m_cols] @ m_vals)) % p
+    a = np.zeros((len(loc.z), len(pts)), dtype=np.int64)
+    a[:, [col[loc.cols[j][1]] for j in c_cols]] = loc.z[:, c_cols] % p
+    keep = a.any(axis=1) | (b != 0)
+    return a[keep], b[keep], loc.r
 
 
-def sample_new(rows, value_of, new_coords: Sequence, p: int, rng) -> Optional[np.ndarray]:
-    """Uniform draw of ``new_coords`` from the solutions of ``rows``.
+def sample_new(a, b, known: Sequence[int], p: int, rng) -> Optional[np.ndarray]:
+    """Uniform draw of the trailing columns of A x = b, the leading ones known.
 
-    Each row is (coefficients keyed by coordinate, rhs), as built by
-    ``constraint_rows_for`` or ``pcp.gather_state_rows``; coordinates outside
-    ``new_coords`` are already answered and read through ``value_of``. Returns the values in
-    ``new_coords`` order, or None if the rows admit none. Forced coordinates
-    consume no randomness; each free one is drawn like ``Field.sample``.
+    The first ``len(known)`` columns hold answered values; they are
+    substituted and the rest are drawn by ``sample_affine``. Returns the
+    drawn values in column order, or None if the rows admit none. Forced
+    columns consume no randomness; each free one is drawn like
+    ``Field.sample``.
     """
-    uidx = {c: j for j, c in enumerate(new_coords)}
-    a_mat = np.zeros((len(rows), len(new_coords)), dtype=np.int64)
-    b_vec = np.zeros(len(rows), dtype=np.int64)
-    for ri, (coef, rhs) in enumerate(rows):
-        acc = rhs
-        for c, v in coef.items():
-            if c in uidx:
-                a_mat[ri, uidx[c]] = (a_mat[ri, uidx[c]] + v) % p
-            else:
-                acc = (acc - v * value_of(c)) % p
-        b_vec[ri] = acc
-    return sample_affine(a_mat, b_vec, p, rng)
+    k = len(known)
+    rhs = (b - a[:, :k] @ np.asarray(known, dtype=np.int64)) % p
+    return sample_affine(a[:, k:], rhs, p, rng)
 
 
 class SimSession:
@@ -115,9 +98,9 @@ class SimSession:
         alpha = tuple(int(c) for c in alpha)
         if alpha in self.answers:
             return self.answers[alpha]
-        rows, reads = constraint_rows_for(self.spec, list(self.answers) + [alpha])
+        a, b, reads = constraint_rows_for(self.spec, list(self.answers) + [alpha])
         self.messages_read.update(reads)
-        sol = sample_new(rows, self.answers.__getitem__, [alpha], self.spec.p, self.rng)
+        sol = sample_new(a, b, list(self.answers.values()), self.spec.p, self.rng)
         if sol is None:
             raise InconsistentQueryAnswers(
                 f"recorded answers admit no value at {alpha}"

@@ -65,17 +65,7 @@ class Field:
                 return x
 
     def sample_array(self, rng, shape) -> np.ndarray:
-        """Uniform int64 array of field elements (rejection sampling)."""
+        """Uniform int64 array of field elements, drawn by ``sample`` in
+        row-major order."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        out = np.empty(n, dtype=np.int64)
-        bits = self.p.bit_length()
-        filled = 0
-        while filled < n:
-            draw = np.array(
-                [rng.getrandbits(bits) for _ in range(n - filled)], dtype=np.int64
-            )
-            good = draw[draw < self.p]
-            out[filled : filled + good.size] = good
-            filled += good.size
-        return out.reshape(shape)
-
+        return np.array([self.sample(rng) for _ in range(n)], dtype=np.int64).reshape(shape)

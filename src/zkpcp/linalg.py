@@ -18,6 +18,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .field import Field
+
 
 def as_matrix(a, p: int) -> np.ndarray:
     m = np.asarray(a, dtype=np.int64) % p
@@ -161,13 +163,9 @@ class AffineSystem:
         n = self.a.shape[1]
         free = [c for c in range(n) if c not in pivots]
         x = np.zeros(n, dtype=np.int64)
-        bits = self.p.bit_length()
+        fld = Field(self.p)
         for f in free:
-            while True:
-                v = rng.getrandbits(bits)
-                if v < self.p:
-                    break
-            x[f] = v
+            x[f] = fld.sample(rng)
         for r, c in enumerate(pivots):
             x[c] = (m[r, n] - int(m[r, :n] @ x) + m[r, c] * x[c]) % self.p
         return x

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import Point, hypercube, rev_point
-from .encoding import EncodingSpec, enc_pcp_spec, sample_new
+from .encoding import EncodingSpec, constraint_rows_for, enc_pcp_spec, sample_new
 from .field import MAX_MODULUS, Field, is_prime, next_prime
 from .poly import (
     MultiPoly,
@@ -400,12 +400,17 @@ def verify(
     return VerifyResult(True, "accept", log, path)
 
 
+Coord = tuple[str, Point]
+
+
 class ViewState:
     """The coordinates of a simulated view and the rows that tie them.
 
-    Coordinates are ("s", pt), ("q", pt), ("t", i, pt). The simulator samples
-    the coordinates each query brings in; the audit accumulates the same
-    rows symbolically, so both run this one activation rule.
+    A coordinate is (oracle, point), named as the verifier names its queries:
+    "sigma", "q" or "t<i>". Coordinates are indexed in the order they entered
+    the view, and every row is a dense vector over that index. The simulator
+    samples the coordinates each query brings in; the audit accumulates the
+    same rows symbolically, so both run this one activation rule.
     """
 
     def __init__(
@@ -421,51 +426,56 @@ class ViewState:
         self.spec: EncodingSpec = enc_pcp_spec(
             params.fld, params.m, params.d, params.h, f_eval, gamma
         )
-        self.sig_pts: set[Point] = set()
-        self.q_pts: set[Point] = set()
-        # the full-arity points of sig_pts, in order of arrival; every T_i
+        self.oracles = ("sigma", "q") + tuple(f"t{i}" for i in range(params.m))
+        self.coords: list[Coord] = []
+        self.index: dict[Coord, int] = {}
+        # the full-arity proof-word points, in order of arrival; every T_i
         # table holds exactly these points
         self.activated: list[Point] = []
 
-    def admit(self, oracle: str, pt: Point) -> list:
-        """Bring the queried coordinate into the view.
-
-        Returns the coordinates that enter with it, in sampling order, or []
-        when it is already in the view.
-        """
-        m = self.params.m
+    def coord(self, oracle: str, pt) -> Coord:
+        """The coordinate a query names; ValueError if no proof could answer it."""
+        m, p = self.params.m, self.params.p
+        pt = tuple(int(c) for c in pt)
+        if oracle not in self.oracles:
+            raise ValueError(f"unknown oracle {oracle!r} at m={m}")
+        if oracle == "sigma" and len(pt) > m:
+            raise ValueError(f"sigma is indexed by points of arity at most {m}")
         if oracle != "sigma" and len(pt) != m:
             raise ValueError("mask tables are indexed by full-arity points")
-        if pt in (self.q_pts if oracle == "q" else self.sig_pts):
-            return []
-        new: list = [("s", pt)]
-        self.sig_pts.add(pt)
+        if any(not 0 <= c < p for c in pt):
+            raise ValueError(f"point {list(pt)} has a coordinate outside [0, {p})")
+        return oracle, pt
+
+    def points(self, oracle: str) -> list[Point]:
+        return [pt for o, pt in self.coords if o == oracle]
+
+    def cols(self, oracle: str, pts) -> list[int]:
+        return [self.index[(oracle, pt)] for pt in pts]
+
+    def admit(self, c: Coord) -> int:
+        """Bring a coordinate into the view with the coordinates that enter
+        with it; returns how many entered (0 if it was already in the view).
+        """
+        if c in self.index:
+            return 0
+        pt = c[1]
+        entering = [("sigma", pt)]
         # Any full-arity point entering the view materialises its mask
         # coordinates: the pointwise mask identity entangles the proof word
         # with the tables there, and committing the latent values now (drawn
         # from their exact conditional) is just lazy sampling of the
         # prover's randomness.
-        if len(pt) == m:
-            pair = {pt, rev_point(pt)}
-            new.extend(("q", q) for q in sorted(pair - self.q_pts))
-            self.q_pts |= pair
-            new.extend(("t", i, pt) for i in range(m))
+        if len(pt) == self.params.m:
+            entering += [
+                ("q", q) for q in sorted({pt, rev_point(pt)}) if ("q", q) not in self.index
+            ]
+            entering += [(f"t{i}", pt) for i in range(self.params.m)]
             self.activated.append(pt)
-        return new
-
-    def rows(self):
-        """Every row over the current view: (rows, message positions read)."""
-        t_pts = sorted(self.activated)
-        return gather_state_rows(
-            self.params,
-            self.f_eval,
-            self.spec,
-            sorted(self.sig_pts, key=lambda q: (len(q), q)),
-            sorted(self.q_pts),
-            [t_pts] * self.params.m,
-            self.activated,
-            self.include_mask_row,
-        )
+        for e in entering:
+            self.index[e] = len(self.coords)
+            self.coords.append(e)
+        return len(entering)
 
 
 class SimulatorSession:
@@ -488,133 +498,100 @@ class SimulatorSession:
         gamma: int,
         rng,
         include_mask_row: bool = True,
-        check_statement: bool = True,
     ):
         self.params = params
         self.f_eval = f_eval
         self.gamma = gamma % params.p
         self.rng = rng
-        if check_statement:
-            total = 0
-            for pt in params.cube.points():
-                total = (total + f_eval(pt)) % params.p
-            if total != self.gamma:
-                raise ValueError("simulator is only defined on true statements")
+        total = 0
+        for pt in params.cube.points():
+            total = (total + f_eval(pt)) % params.p
+        if total != self.gamma:
+            raise ValueError("simulator is only defined on true statements")
         self.view = ViewState(params, f_eval, self.gamma, include_mask_row)
-        self.sig_vals: dict[Point, int] = {}
-        self.q_vals: dict[Point, int] = {}
-        self.t_vals: list[dict[Point, int]] = [dict() for _ in range(params.m)]
+        # values[j] answers view.coords[j]
+        self.values: list[int] = []
         self.messages_read: set[Point] = set()
         self.transcript: list[tuple[str, Point, int]] = []
 
     def query(self, oracle: str, pt: Point) -> int:
-        pt = tuple(int(c) for c in pt)
-        cached = self._cache_of(oracle)
-        if pt not in cached:
-            self._extend(oracle, pt)
-        val = cached[pt]
-        self.transcript.append((oracle, pt, val))
+        c = self.view.coord(oracle, pt)
+        if c not in self.view.index:
+            self._extend(c)
+        val = self.values[self.view.index[c]]
+        self.transcript.append((oracle, c[1], val))
         return val
 
     def _cache_of(self, oracle: str) -> dict[Point, int]:
-        if oracle == "sigma":
-            return self.sig_vals
-        if oracle == "q":
-            return self.q_vals
-        return self.t_vals[int(oracle[1:])]
+        """The answered points of one oracle, with their values."""
+        return {
+            pt: v for (o, pt), v in zip(self.view.coords, self.values) if o == oracle
+        }
 
-    def _extend(self, oracle: str, pt: Point):
-        new_coords = self.view.admit(oracle, pt)
-        rows, reads = self.view.rows()
+    def _extend(self, c: Coord):
+        self.view.admit(c)
+        a, b, reads = gather_state_rows(self.view)
         self.messages_read.update(reads)
-        sol = sample_new(rows, self._value, new_coords, self.params.p, self.rng)
+        sol = sample_new(a, b, self.values, self.params.p, self.rng)
         if sol is None:
             raise RuntimeError("simulator system inconsistent; detector bug")
-        for c, v in zip(new_coords, sol):
-            self._store(c, int(v))
-
-    def _value(self, coord) -> int:
-        if coord[0] == "s":
-            return self.sig_vals[coord[1]]
-        if coord[0] == "q":
-            return self.q_vals[coord[1]]
-        return self.t_vals[coord[1]][coord[2]]
-
-    def _store(self, coord, v: int):
-        if coord[0] == "s":
-            self.sig_vals[coord[1]] = v
-        elif coord[0] == "q":
-            self.q_vals[coord[1]] = v
-        else:
-            self.t_vals[coord[1]][coord[2]] = v
+        self.values.extend(int(v) for v in sol)
 
 
-def gather_state_rows(
-    params: SumcheckParams,
-    f_eval,
-    spec: EncodingSpec,
-    sig_pts,
-    q_pts,
-    t_pts,
-    mask_pts,
-    include_mask_row: bool = True,
-):
-    """Every linear relation tying the current view coordinates together.
+def gather_state_rows(view: ViewState):
+    """Every linear relation tying the view's coordinates together.
 
-    Coordinates are ("s", pt), ("q", pt), ("t", i, pt). Rows: the composed
-    locator's constraints on the proof word over sig_pts (message values
-    substituted), per-table detector rows, and one mask-consistency row per
-    point of mask_pts. Returns (rows, message positions read).
+    Rows are dense over ``view.coords``: the composed locator's constraints
+    on the proof word (message values substituted), per-table detector rows,
+    and one mask-consistency row per activated point. Returns (A, b, message
+    positions read) for the system A x = b.
     """
-    from .encoding import constraint_rows_for
-
-    rows: list[tuple[dict, int]] = []
-    reads: tuple = ()
-    if sig_pts:
-        sig_rows, reads = constraint_rows_for(spec, list(sig_pts))
-        for coef, rhs in sig_rows:
-            rows.append(({("s", q): v for q, v in coef.items()}, rhs))
-    rows.extend(build_table_rows(params, q_pts, t_pts))
-    if include_mask_row:
-        for pt in mask_pts:
-            rows.append(mask_row(params, pt, f_eval))
-    return rows, reads
-
-
-def build_table_rows(params: SumcheckParams, q_pts, t_pts):
-    """Detector rows for each mask table over the given point sets."""
-    rows = []
-    fld = params.fld
-    view_q = CodeView(fld, params.m, (params.d,) * params.m)
-    cb = cd_rm(view_q, q_pts)
-    for z in cb.z:
-        coef = {("q", q): int(c) for q, c in zip(cb.domain, z) if c}
-        rows.append((coef, 0))
-    for i in range(params.m):
-        view_t = CodeView(fld, params.m, params.t_degree_vector(i))
-        cb = cd_rm(view_t, t_pts[i])
-        for z in cb.z:
-            coef = {("t", i, q): int(c) for q, c in zip(cb.domain, z) if c}
-            rows.append((coef, 0))
-    return rows
+    sig_pts = sorted(view.points("sigma"), key=lambda q: (len(q), q))
+    a_sig, b_sig, reads = constraint_rows_for(view.spec, sig_pts)
+    sig_rows = np.zeros((len(a_sig), len(view.coords)), dtype=np.int64)
+    sig_rows[:, view.cols("sigma", sig_pts)] = a_sig
+    table_rows = build_table_rows(view)
+    masks = [mask_row(view, pt) for pt in view.activated] if view.include_mask_row else []
+    a = np.vstack([sig_rows, table_rows] + [row for row, _ in masks])
+    b = np.concatenate(
+        [
+            b_sig,
+            np.zeros(len(table_rows), dtype=np.int64),
+            np.array([rhs for _, rhs in masks], dtype=np.int64),
+        ]
+    )
+    return a, b, reads
 
 
-def mask_row(params: SumcheckParams, pt: Point, f_eval):
+def build_table_rows(view: ViewState) -> np.ndarray:
+    """Detector rows for each mask table over the points the view holds."""
+    params = view.params
+    m = params.m
+    t_pts = sorted(view.activated)
+    tables = [("q", (params.d,) * m, sorted(view.points("q")))] + [
+        (f"t{i}", params.t_degree_vector(i), t_pts) for i in range(m)
+    ]
+    blocks = []
+    for oracle, dv, pts in tables:
+        cb = cd_rm(CodeView(params.fld, m, dv), pts)
+        rows = np.zeros((len(cb.z), len(view.coords)), dtype=np.int64)
+        rows[:, view.cols(oracle, cb.domain)] = cb.z
+        blocks.append(rows)
+    return np.vstack(blocks)
+
+
+def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
     """Q(pt) - Q(rev pt) + sum Z_H(pt_i) T_i(pt) - sigma(pt) = -F(pt)."""
+    params = view.params
     p = params.p
     zh = univariate_from_roots(params.h, p)
-    coef: dict = {}
-    rp = rev_point(pt)
-    coef[("q", pt)] = 1
-    coef[("q", rp)] = (coef.get(("q", rp), 0) - 1) % p
+    row = np.zeros(len(view.coords), dtype=np.int64)
+    row[view.index[("q", pt)]] += 1
+    row[view.index[("q", rev_point(pt))]] -= 1
     for i in range(params.m):
-        acc = eval_univariate(zh, pt[i], p)
-        if acc:
-            coef[("t", i, pt)] = (coef.get(("t", i, pt), 0) + acc) % p
-    coef[("s", pt)] = (-1) % p
-    coef = {c: v for c, v in coef.items() if v}
-    rhs = (-f_eval(pt)) % p
-    return coef, rhs
+        row[view.index[(f"t{i}", pt)]] = eval_univariate(zh, pt[i], p)
+    row[view.index[("sigma", pt)]] = -1
+    return row % p, (-view.f_eval(pt)) % p
 
 
 def serialize_proof(proof: ProofOracle) -> bytes:

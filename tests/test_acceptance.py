@@ -162,7 +162,7 @@ def test_criterion_2_locality_bounds():
     for _ in range(300):
         pts = rng.sample(pool_m3, rng.randrange(1, 6))
         out = antisym_locate(fld5, a_m3, pts)
-        anti_viol += len(out.g) > 3 * len(set(pts))
+        anti_viol += len(out.meta["prefix_free"].g) > 3 * len(set(pts))
     ok = rm_viol == sig_viol == anti_viol == 0
     report(
         2,

@@ -301,7 +301,7 @@ def test_antisym_locate_g_bound():
     for _ in range(100):
         pts = rng.sample(pool, rng.randrange(1, 5))
         out = antisym_locate(fld, a, pts)
-        assert len(out.g) <= a.m * len(set(pts))
+        assert len(out.meta["prefix_free"].g) <= a.m * len(set(pts))
 
 
 def test_antisym_locate_rejects_char2():

@@ -140,15 +140,22 @@ def test_battery_has_sensitive_scripts_and_mixes_oracles():
 
 def test_linear_law_detects_prefix_violation():
     law = LinearLaw(3)
-    law.add_step(["a"], [])
-    with pytest.raises(AuditError):
-        law.add_step(["b"], [({"a": 1}, 0)])  # constrains the sampled prefix
+    law.add_step(1, np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    with pytest.raises(AuditError, match="constrain already-sampled coordinates"):
+        law.add_step(1, np.array([[1, 0]]), np.array([0]))  # pins column 0
+    with pytest.raises(AuditError, match="inconsistent with the prefix law"):
+        law.add_step(1, np.array([[0, 0]]), np.array([1]))
+    # a refused step leaves the law as it was; a row that forces only the
+    # new column is accepted
+    assert law.n == 1
+    law.add_step(1, np.array([[1, 1]]), np.array([2]))
+    assert law.n == 2
 
 
 def test_linear_law_marginal_of_free_coords():
     law = LinearLaw(5)
-    law.add_step(["a", "b"], [({"a": 1, "b": 4}, 0)])
-    off, dirs = law.marginal(["a"])
+    law.add_step(2, np.array([[1, 4]]), np.array([0]))
+    off, dirs = law.marginal([0])
     from zkpcp.linalg import rank
 
     assert rank(dirs, 5) == 1  # a is free once b absorbs the constraint
@@ -185,8 +192,8 @@ def test_real_law_matches_sampled_proofs():
 def test_symbolic_law_matches_sampling_simulator():
     params = PARAMS3
     steps = [("sigma", (2, 2)), ("t0", (2, 2)), ("t1", (2, 2))]
-    law, keys = symbolic_simulator_law(params, POLY3.eval, GAMMA3, steps)
-    off, dirs = law.marginal(keys)
+    law, cols = symbolic_simulator_law(params, POLY3.eval, GAMMA3, steps)
+    off, dirs = law.marginal(cols)
     from zkpcp.linalg import kernel_basis
 
     dual = kernel_basis(dirs, 3)
@@ -231,7 +238,8 @@ def test_full_t_line_consistent_at_arity_one():
         diffs = {(t0[x + 1] - t0[x]) % 11 for x in range(10)}
         assert len(diffs) == 1  # degree <= 1
         for x in range(11):
-            assert sim.sig_vals[(x,)] == (poly.eval((x,)) + x * (x - 1) * t0[x]) % 11
+            sig = sim.values[sim.view.index[("sigma", (x,))]]
+            assert sig == (poly.eval((x,)) + x * (x - 1) * t0[x]) % 11
 
 
 def test_simulator_draws_lie_in_the_symbolic_law():
@@ -241,11 +249,11 @@ def test_simulator_draws_lie_in_the_symbolic_law():
     poly = xy_poly(5)
     steps = [("sigma", (2,)), ("q", (2, 3)), ("t0", (3, 2)), ("sigma", (3, 2)),
              ("q", (3, 2)), ("sigma", ())]
-    law, keys = symbolic_simulator_law(params, poly.eval, 1, steps)
+    law, cols = symbolic_simulator_law(params, poly.eval, 1, steps)
     for seed in range(3):
         sim = SimulatorSession(params, poly.eval, 1, random.Random(seed))
         answers = [sim.query(o, pt) for o, pt in steps]
-        assert answers == [sim._value(k) for k in keys]
-        x = np.array([sim._value(k) for k in law.coords], dtype=np.int64)
-        for row, rhs in zip(law.rows, law.rhs):  # rows end at their step
-            assert int(row @ x[: row.size]) % 5 == rhs
+        assert len(sim.values) == law.n
+        assert answers == [sim.values[j] for j in cols]
+        x = np.array(sim.values, dtype=np.int64)
+        assert not np.any((law.ab[:, :-1] @ x - law.ab[:, -1]) % 5)

@@ -168,6 +168,10 @@ BAD_SCRIPTS = {
         "steps": [QUERY, {"if": {"step": -1, "equals": 1}, "then": QUERY, "else": QUERY}]
     },
     "missing-point": {"steps": [{"oracle": "sigma"}]},
+    # no proof at m=2 has a table t7, nor a coordinate outside [0, 5)
+    "t-index-beyond-m": {"steps": [{"oracle": "t7", "point": [0, 1]}]},
+    "coordinate-above-field": {"steps": [QUERY, {"oracle": "sigma", "point": [9]}]},
+    "negative-coordinate": {"steps": [{"oracle": "sigma", "point": [-1]}]},
 }
 
 

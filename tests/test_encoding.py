@@ -79,14 +79,16 @@ def test_sample_new_draws_like_field_sample():
     fld = Field(7)
     for seed in range(5):
         rng = random.Random(seed)
-        sol = sample_new([({"y": 1}, 0)], {"y": 0}.__getitem__, ["x"], 7, rng)
+        # columns (y, x) with y = 0 answered: y = 0 leaves x free
+        sol = sample_new(np.array([[1, 0]]), np.array([0]), [0], 7, rng)
         assert int(sol[0]) == fld.sample(random.Random(seed))
         rng = random.Random(seed)
         state = rng.getstate()
-        sol = sample_new([({"x": 2, "y": 1}, 3)], {"y": 5}.__getitem__, ["x"], 7, rng)
+        # y = 5 answered: y + 2x = 3 forces x
+        sol = sample_new(np.array([[1, 2]]), np.array([3]), [5], 7, rng)
         assert int(sol[0]) == (3 - 5) * pow(2, -1, 7) % 7
         assert rng.getstate() == state
-    assert sample_new([({"y": 1}, 1)], {"y": 0}.__getitem__, ["x"], 7, rng) is None
+    assert sample_new(np.array([[1, 0]]), np.array([1]), [0], 7, rng) is None
 
 
 def test_inconsistent_state_raises():
@@ -150,17 +152,12 @@ def session_symbolic_law(spec, steps):
     """Accumulate the session's rows for a fixed sigma-only script."""
     law = LinearLaw(spec.p)
     supp = []
-    keys = []
     for pt in steps:
         if pt not in supp:
-            rows, _ = constraint_rows_for(spec, supp + [pt])
-            mapped = [
-                ({("s", q): v for q, v in coef.items()}, rhs) for coef, rhs in rows
-            ]
-            law.add_step([("s", pt)], mapped)
             supp.append(pt)
-        keys.append(("s", pt))
-    return law, keys
+            a, b, _ = constraint_rows_for(spec, supp)
+            law.add_step(1, a, b)
+    return law, [supp.index(pt) for pt in steps]
 
 
 def test_chained_session_law_equals_real_law():
@@ -178,8 +175,8 @@ def test_chained_session_law_equals_real_law():
     for _ in range(6):
         scripts.append(rng.sample(pool, rng.randrange(1, 5)))
     for pts in scripts:
-        law, keys = session_symbolic_law(spec, pts)
-        sim_off, sim_dirs = law.marginal(keys)
+        law, cols = session_symbolic_law(spec, pts)
+        sim_off, sim_dirs = law.marginal(cols)
         re_off, re_rows = sigma_answers_real_law(fld, 2, 3, (0, 1), msg_cube, pts)
         assert affine_sets_equal(sim_off, sim_dirs, re_off, re_rows, p), pts
 
@@ -217,14 +214,7 @@ def test_composed_pcp_locator_kernel_vs_direct_oracle():
         loc = spec.locator(pts)
         re_off, re_rows = sigma_answers_real_law(fld, 2, 3, (0, 1), msg_cube, pts)
         # answer fiber from the locator with messages substituted
-        rows, _ = constraint_rows_for(spec, pts)
-        n = len(pts)
-        a_mat = np.zeros((len(rows), n), dtype=np.int64)
-        b_vec = np.zeros(len(rows), dtype=np.int64)
-        for i, (coef, rhs) in enumerate(rows):
-            for q, c in coef.items():
-                a_mat[i, pts.index(q)] = (a_mat[i, pts.index(q)] + c) % p
-            b_vec[i] = rhs
+        a_mat, b_vec, _ = constraint_rows_for(spec, pts)
         from zkpcp.linalg import AffineSystem
 
         sys = AffineSystem(a_mat, b_vec, p)

@@ -450,6 +450,18 @@ def test_view_record_replayable():
     assert run(9).transcript != run(10).transcript
 
 
+def test_simulator_refuses_queries_no_proof_answers():
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    sim = SimulatorSession(params, xy_poly(5).eval, 1, random.Random(0))
+    for oracle, pt in [("t7", (0, 1)), ("t2", (0, 1)), ("sigma", (9,)),
+                       ("sigma", (-1,)), ("q", (0, 5)), ("q", (0,)),
+                       ("sigma", (0, 0, 0)), ("r", (0, 1))]:
+        with pytest.raises(ValueError):
+            sim.query(oracle, pt)
+    assert sim.transcript == [] and sim.values == []
+    assert sim.query("sigma", (4,)) == sim.transcript[0][2]
+
+
 # Simulator transcripts for seeds 0-4, recorded before the view state moved
 # to one dense coordinate index. Any change to the sampler's column order,
 # row space or randomness use shows up here as a changed answer.
