@@ -191,20 +191,23 @@ class ProofOracle:
 
 
 def _grid_eval(poly: MultiPoly, p: int) -> np.ndarray:
-    """Evaluation table over the full grid F^m.
+    """Evaluation table over the full grid F^m, C-contiguous.
 
-    Contractions run in float64 when the accumulator provably stays below
-    2^53 (exact in IEEE double); otherwise exact int64.
+    Axes are contracted last to first, so the final contraction (axis 0)
+    leaves the table in C order with no transpose. Contractions run in
+    float64 when the accumulator provably stays below 2^53 (exact in IEEE
+    double); otherwise exact int64.
     """
     c = poly.coeffs
-    for axis in range(poly.m):
+    for axis in reversed(range(poly.m)):
         v = vandermonde(range(p), c.shape[axis] - 1, p)
         moved = np.moveaxis(c, axis, 0)
         if c.shape[axis] * (p - 1) * (p - 1) < 2**53:
             prod = v.astype(np.float64) @ moved.reshape(moved.shape[0], -1).astype(
                 np.float64
             )
-            prod = prod.astype(np.int64) % p
+            prod = prod.astype(np.int64)
+            prod %= p
             prod = prod.reshape((p,) + moved.shape[1:])
         else:
             prod = np.tensordot(v, moved, axes=(1, 0)) % p
@@ -212,29 +215,30 @@ def _grid_eval(poly: MultiPoly, p: int) -> np.ndarray:
     return c
 
 
-def _reverse_table(table: np.ndarray) -> np.ndarray:
-    """Table of P(rev x) from the table of P(x)."""
-    return np.transpose(table)
+def _mask_table(
+    params: SumcheckParams, f: MultiPoly, q: MultiPoly, ts: list[MultiPoly]
+) -> np.ndarray:
+    """Table of the masked word F + Q - Q(rev) + sum Z_H(X_i) T_i.
 
-
-def _mask_table(params: SumcheckParams, q_tab: np.ndarray, t_tabs: list[np.ndarray]) -> np.ndarray:
-    p = params.p
+    The word is summed in the coefficient domain (individual degree <= d)
+    and evaluated over F^m once.
+    """
+    p, m = params.p, params.m
     zh = univariate_from_roots(params.h, p)
-    zh_vals = np.array([eval_univariate(zh, x, p) for x in range(p)], dtype=np.int64)
-    # |accumulated| < p + m p^2, far below int64 overflow: one final reduction
-    r_tab = q_tab - _reverse_table(q_tab)
-    for i in range(params.m):
-        shape = [1] * params.m
-        shape[i] = p
-        r_tab = r_tab + zh_vals.reshape(shape) * t_tabs[i]
-    return r_tab % p
+    word = f.add(q).sub(q.reverse_vars())
+    for i, t in enumerate(ts):
+        shape = [1] * m
+        shape[i] = zh.size
+        word = word.add(t.mul(MultiPoly(p, zh.reshape(shape))))
+    return _grid_eval(word, p)
 
 
 def _sum_tables(table: np.ndarray, params: SumcheckParams) -> list[np.ndarray]:
-    """All prefix-sum layers over suffix cubes of the summation set."""
+    """All prefix-sum layers over suffix cubes of the summation set; the
+    full-arity layer is ``table`` itself, whose entries are field elements."""
     h = list(params.h)
     layers = [None] * (params.m + 1)
-    layers[params.m] = table % params.p
+    layers[params.m] = table
     for i in range(params.m - 1, -1, -1):
         nxt = layers[i + 1]
         layers[i] = nxt[..., h].sum(axis=-1) % params.p
@@ -242,7 +246,7 @@ def _sum_tables(table: np.ndarray, params: SumcheckParams) -> list[np.ndarray]:
 
 
 def prove(
-    f_poly: MultiPoly | Callable[[Point], int],
+    f_poly: MultiPoly,
     params: SumcheckParams,
     rng,
     table_cap: int = DEFAULT_TABLE_CAP,
@@ -255,24 +259,16 @@ def prove(
     p, m, d = params.p, params.m, params.d
     if p**m > table_cap:
         raise ValueError("dense proof tables exceed the size cap")
+    if f_poly.m != m or any(dd > d for dd in f_poly.degree_vector):
+        raise ValueError("instance polynomial degree exceeds d")
     fld = params.fld
-    if isinstance(f_poly, MultiPoly):
-        if f_poly.m != m or any(dd > d for dd in f_poly.degree_vector):
-            raise ValueError("instance polynomial degree exceeds d")
-        f_tab = _grid_eval(f_poly, p)
-    else:
-        f_tab = np.zeros((p,) * m, dtype=np.int64)
-        for pt in np.ndindex(*f_tab.shape):
-            f_tab[pt] = f_poly(pt) % p
-
-    q_coeffs = fld.sample_array(rng, (d + 1,) * m)
-    q_tab = _grid_eval(MultiPoly(p, q_coeffs), p)
-    t_tabs = []
-    for i in range(m):
-        shape = tuple(dd + 1 for dd in params.t_degree_vector(i))
-        t_tabs.append(_grid_eval(MultiPoly(p, fld.sample_array(rng, shape)), p))
-    masked = (f_tab + _mask_table(params, q_tab, t_tabs)) % p
-    return ProofOracle(params, _sum_tables(masked, params), q_tab, t_tabs)
+    q = MultiPoly(p, fld.sample_array(rng, (d + 1,) * m))
+    ts = [
+        MultiPoly(p, fld.sample_array(rng, tuple(dd + 1 for dd in params.t_degree_vector(i))))
+        for i in range(m)
+    ]
+    sigma = _sum_tables(_mask_table(params, f_poly, q, ts), params)
+    return ProofOracle(params, sigma, _grid_eval(q, p), [_grid_eval(t, p) for t in ts])
 
 
 @dataclass
@@ -478,6 +474,9 @@ class ViewState:
         return len(entering)
 
 
+INCONSISTENT = "simulator system inconsistent; detector bug"
+
+
 class SimulatorSession:
     """Exact simulator for the proof oracles on a true statement.
 
@@ -516,6 +515,9 @@ class SimulatorSession:
 
     def query(self, oracle: str, pt: Point) -> int:
         c = self.view.coord(oracle, pt)
+        if len(self.values) < len(self.view.coords):
+            # a failed _extend admitted coordinates it could not answer
+            raise RuntimeError(INCONSISTENT)
         if c not in self.view.index:
             self._extend(c)
         val = self.values[self.view.index[c]]
@@ -534,7 +536,7 @@ class SimulatorSession:
         self.messages_read.update(reads)
         sol = sample_new(a, b, self.values, self.params.p, self.rng)
         if sol is None:
-            raise RuntimeError("simulator system inconsistent; detector bug")
+            raise RuntimeError(INCONSISTENT)
         self.values.extend(int(v) for v in sol)
 
 
@@ -595,17 +597,19 @@ def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
 
 
 def serialize_proof(proof: ProofOracle) -> bytes:
+    """MAGIC, the u64 header, then every table as little-endian 64-bit words.
+
+    Each table is copied once, straight into the result. Entries are written
+    as two's complement words; the decoder refuses any outside [0, p).
+    """
     params = proof.params
     head = [params.p, params.m, params.d, len(params.h), *params.h,
             len(params.nodes), *params.nodes]
-    out = [MAGIC]
-    out.append(struct.pack(f"<{len(head)}Q", *head))
-    for i in range(params.m + 1):
-        out.append(proof.sigma[i].reshape(-1).astype("<u8").tobytes())
-    out.append(proof.q.reshape(-1).astype("<u8").tobytes())
-    for tab in proof.t:
-        out.append(tab.reshape(-1).astype("<u8").tobytes())
-    return b"".join(out)
+    tables = [*proof.sigma, proof.q, *proof.t]
+    return b"".join(
+        [MAGIC, struct.pack(f"<{len(head)}Q", *head)]
+        + [np.ascontiguousarray(t, dtype="<i8").reshape(-1) for t in tables]
+    )
 
 
 def deserialize_proof(blob: bytes) -> ProofOracle:
@@ -614,8 +618,11 @@ def deserialize_proof(blob: bytes) -> ProofOracle:
     The header is checked with Python ints before anything is allocated or
     the modulus is tested for primality: the tables it implies must fit the
     dense size cap and fill the rest of the blob exactly. Every table entry
-    must then be a field element.
+    must then be a field element. The tables are read-only int64 views of
+    the blob, not copies; a mutable buffer is copied to bytes first, so the
+    checked entries cannot change under the views.
     """
+    blob = bytes(blob)
     if blob[:4] != MAGIC:
         raise ValueError("bad proof magic")
     off = 4
@@ -646,7 +653,7 @@ def deserialize_proof(blob: bytes) -> ProofOracle:
     flat = np.frombuffer(blob, "<u8", sum(sizes), off)
     if flat.size and int(flat.max()) >= p:
         raise ValueError("proof entry is not a field element")
-    parts = np.split(flat.astype(np.int64), np.cumsum(sizes)[:-1])
+    parts = np.split(flat.view("<i8"), np.cumsum(sizes)[:-1])
     tables = [part.reshape(shape) for part, shape in zip(parts, shapes)]
     return ProofOracle(params, tables[: m + 1], tables[m + 1], tables[m + 2 :])
 

@@ -47,18 +47,6 @@ class MultiPoly:
             c = acc
         return int(c)
 
-    def eval_grid(self, factors: Sequence[Sequence[int]]) -> np.ndarray:
-        """Evaluation table on a product grid; axis i runs over factors[i]."""
-        if len(factors) != self.m:
-            raise ValueError("factor count must equal arity")
-        c = self.coeffs
-        for i, nodes in enumerate(factors):
-            v = vandermonde(list(nodes), c.shape[i] - 1, self.p)
-            c = np.moveaxis(
-                np.tensordot(v, np.moveaxis(c, i, 0), axes=(1, 0)) % self.p, 0, i
-            )
-        return c
-
     def add(self, other: "MultiPoly") -> "MultiPoly":
         return self._combine(other, 1)
 

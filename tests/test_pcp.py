@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import struct
@@ -296,6 +297,65 @@ def test_deserialize_fuzz_roundtrips_or_raises_value_error():
     assert outcomes["refused"] > 0 and outcomes["parsed"] > 0
 
 
+# sha256 of serialize_proof(prove(...)), recorded before the prover built
+# the masked word in the coefficient domain and the codec stopped copying.
+GOLDEN_PROOF_SHA256 = [
+    "aab9c267e40576f6963ed0b0721d1dcd37c9f751c4801413856ab480c24860b6",
+    "50a915a6dfc0c061c8e3910a42bc474f7d26f6f17ade4371158b6993caf67622",
+    "b8ca83cdae6c74cac8e7f18ab46c22a6ab07eefda1efeb28cbe40bfc1773b1a5",
+]
+GOLDEN_SHARP_SAT_SHA256 = "20a79b2720749f52e1c060529f9bb684f93c2f9f070157c78c0c193a85b76c98"
+
+
+def test_proof_bytes_match_golden():
+    params = PcpParams(11, 2, 3, (0, 1))
+    for seed, digest in enumerate(GOLDEN_PROOF_SHA256):
+        blob = serialize_proof(prove(xy_poly(11), params, random.Random(seed)))
+        assert hashlib.sha256(blob).hexdigest() == digest
+    cnf = CnfInstance(3, ((1, -2), (2, 3), (-1, -3)))
+    bundle = pcp_for_sharp_sat(cnf, cnf.model_count(), p=101)
+    assert (bundle.params.p, bundle.params.m, bundle.params.d) == (101, 3, 3)
+    blob = serialize_proof(bundle.prove(random.Random(0)))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHARP_SAT_SHA256
+
+
+def test_serialize_ignores_table_layout():
+    params = PcpParams(11, 2, 3, (0, 1))
+    proof = prove(xy_poly(11), params, random.Random(0))
+    blob = serialize_proof(proof)
+    assert all(t.flags.c_contiguous for t in [*proof.sigma, proof.q, *proof.t])
+    # the same tables as strided views serialise to the same bytes
+    proof.q = np.ascontiguousarray(proof.q.T).T
+    proof.t = [np.flip(np.flip(t, 1).copy(), 1) for t in proof.t]
+    proof.sigma[2] = np.asfortranarray(proof.sigma[2])
+    assert not any(t.flags.c_contiguous for t in [proof.q, proof.sigma[2], *proof.t])
+    assert serialize_proof(proof) == blob
+    # an entry outside [0, p) is written as its 64-bit two's complement
+    proof.q = proof.q - 11
+    q_bytes = serialize_proof(proof)[-8 * 3 * 121 : -8 * 2 * 121]
+    assert q_bytes == proof.q.reshape(-1).astype("<u8").tobytes()
+    assert q_bytes[:8] == (2**64 + int(proof.q[0, 0])).to_bytes(8, "little")
+
+
+def test_deserialized_tables_are_read_only_views():
+    params = PcpParams(11, 2, 3, (0, 1))
+    proof = prove(xy_poly(11), params, random.Random(1))
+    blob = serialize_proof(proof)
+    back = deserialize_proof(blob)
+    pairs = list(zip([*back.sigma, back.q, *back.t], [*proof.sigma, proof.q, *proof.t]))
+    for got, want in pairs:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = 1
+    assert serialize_proof(back) == blob
+    # a mutable buffer is copied first: writing to it leaves the tables alone
+    shared = bytearray(blob)
+    back = deserialize_proof(shared)
+    shared[-8:] = (1 << 63).to_bytes(8, "little")
+    assert not back.t[-1].flags.writeable and back.t[-1][-1, -1] == proof.t[-1][-1, -1]
+
+
 def test_simulator_examples():
     params = SumcheckParams(5, 2, 3, (0, 1))
     poly = xy_poly(5)
@@ -460,6 +520,27 @@ def test_simulator_refuses_queries_no_proof_answers():
             sim.query(oracle, pt)
     assert sim.transcript == [] and sim.values == []
     assert sim.query("sigma", (4,)) == sim.transcript[0][2]
+
+
+def test_failed_extend_poisons_the_session(monkeypatch):
+    # A failed extension leaves the new coordinates admitted without values;
+    # every later query raises the same RuntimeError instead of reading
+    # past the answered values.
+    import zkpcp.pcp as pcp
+
+    params = PcpParams(11, 2, 3, (0, 1))
+    sim = SimulatorSession(params, xy_poly(11).eval, 1, random.Random(0))
+    sim.query("sigma", (3,))
+    monkeypatch.setattr(pcp, "sample_new", lambda *args: None)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        sim.query("q", (2, 5))
+    monkeypatch.undo()
+    assert len(sim.values) < len(sim.view.coords)
+    for oracle, pt in [sim.view.coords[-1], ("q", (2, 5)), ("sigma", (3,)),
+                       ("sigma", (4,))]:
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            sim.query(oracle, pt)
+    assert len(sim.transcript) == 1
 
 
 # Simulator transcripts for seeds 0-4, recorded before the view state moved

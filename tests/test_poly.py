@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zkpcp.domains import ProductSet
+from zkpcp.pcp import _grid_eval
 from zkpcp.poly import (
     MultiPoly,
     embed,
@@ -237,11 +238,13 @@ def test_monomial_exponents_negative_degree_empty():
 def test_grid_eval_matches_pointwise():
     rng = random.Random(13)
     p = 7
-    poly = MultiPoly(p, np.array([[rng.randrange(p) for _ in range(3)] for _ in range(2)]))
-    grid = poly.eval_grid([range(p), range(p)])
-    for x in range(p):
-        for y in range(p):
-            assert grid[x, y] == poly.eval((x, y))
+    for shape in [(4,), (2, 3), (3, 1, 4)]:
+        coeffs = np.array([rng.randrange(p) for _ in range(int(np.prod(shape)))])
+        poly = MultiPoly(p, coeffs.reshape(shape))
+        grid = _grid_eval(poly, p)
+        assert grid.shape == (p,) * len(shape) and grid.flags.c_contiguous
+        for x in itertools.product(range(p), repeat=len(shape)):
+            assert grid[x] == poly.eval(x)
 
 
 def test_mul_and_reverse_vars():
