@@ -21,13 +21,8 @@ import numpy as np
 from .domains import Point, rev_point
 from .linalg import AffineSystem, kernel_basis, rank, rref
 from .pcp import SumcheckParams, ViewState, gather_state_rows
-from .poly import (
-    MultiPoly,
-    eval_monomial,
-    eval_univariate,
-    monomial_exponents,
-    univariate_from_roots,
-)
+from .poly import MultiPoly, power_table, univariate_from_roots
+from .rm import CodeView, rm_generator
 
 
 class AuditError(Exception):
@@ -72,6 +67,12 @@ class LinearLaw:
             raise AuditError("step rows constrain already-sampled coordinates")
         self.ab = red
 
+    def fork(self) -> "LinearLaw":
+        """An independent copy, for continuing the law along another branch."""
+        other = LinearLaw(self.p)
+        other.ab = self.ab.copy()
+        return other
+
     def marginal(self, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """(offset, direction rows) of the law's projection onto columns."""
         sys = AffineSystem(self.ab[:, :-1], self.ab[:, -1], self.p)
@@ -82,34 +83,51 @@ def symbolic_simulator_law(
     params: SumcheckParams,
     f_eval: Callable[[Point], int],
     gamma: int,
-    steps: Sequence[tuple[str, Point]],
+    branches: Sequence[Sequence[tuple[str, Point]]],
     include_mask_row: bool = True,
-) -> tuple[LinearLaw, list[int]]:
-    """Run the simulator's view state without sampling.
+) -> list[tuple[LinearLaw, list[int]]]:
+    """Run the simulator's view state without sampling, once per branch.
 
-    Returns the accumulated law over the view's coordinates plus, per step,
-    the column whose value the simulator would have returned.
+    ``branches`` holds each branch's resolved steps. Returns, per branch, the
+    accumulated law over the view's coordinates plus, per step, the column
+    whose value the simulator would have returned. Branches that begin with
+    the same steps share that prefix: it runs once, and the view and the law
+    are copied where the branches part.
     """
-    view = ViewState(params, f_eval, gamma, include_mask_row)
-    law = LinearLaw(params.p)
-    answer_cols = []
-    for oracle, pt in steps:
-        c = view.coord(oracle, pt)
-        n_new = view.admit(c)
-        if n_new:
-            a, b, _ = gather_state_rows(view)
-            law.add_step(n_new, a, b)
-        answer_cols.append(view.index[c])
-    return law, answer_cols
-
-
-def prover_coefficient_coords(params: SumcheckParams) -> list:
-    coords = [("Q", e) for e in monomial_exponents((params.d,) * params.m)]
-    for i in range(params.m):
-        coords.extend(
-            ("T", i, e) for e in monomial_exponents(params.t_degree_vector(i))
-        )
-    return coords
+    results: list = [None] * len(branches)
+    root = (
+        ViewState(params, f_eval, gamma, include_mask_row),
+        LinearLaw(params.p),
+        [],
+    )
+    # (state after ``depth`` shared steps, depth, the branches sharing them)
+    pending = [(root, 0, range(len(branches)))]
+    while pending:
+        state, depth, members = pending.pop()
+        view, law, cols = state
+        ended = False
+        parts: dict = {}
+        for j in members:
+            if depth == len(branches[j]):
+                results[j] = state
+                ended = True
+            else:
+                parts.setdefault(view.coord(*branches[j][depth]), []).append(j)
+        nxt = []
+        for k, (c, js) in enumerate(parts.items()):
+            # the last part carries this state on unless a branch ended here
+            if ended or k < len(parts) - 1:
+                view_k, law_k, cols_k = view.fork(), law.fork(), list(cols)
+            else:
+                view_k, law_k, cols_k = state
+            n_new = view_k.admit(c)
+            if n_new:
+                a, b, _ = gather_state_rows(view_k)
+                law_k.add_step(n_new, a, b)
+            cols_k.append(view_k.index[c])
+            nxt.append(((view_k, law_k, cols_k), depth + 1, js))
+        pending.extend(reversed(nxt))
+    return [(law, cols) for _, law, cols in results]
 
 
 def real_law(
@@ -121,43 +139,51 @@ def real_law(
 
     Answers are affine in the prover's mask coefficients, which are uniform,
     so the law is uniform on offset + row span of the linear map's image.
+    The map's rows are code generator rows at full-arity points, over the
+    coefficients of Q and then of T_0, ..., T_{m-1}, each in monomial order.
+    A q or t_i entry is one generator row at its point. A sigma entry at a
+    prefix sums the masked word F + Q - Q(rev) + sum Z_H(X_i) T_i over the
+    prefix's suffix cube: per point, the Q row minus the Q row of the
+    reversed point plus the T_i rows weighted by Z_H(x_i), and for the offset
+    F's generator row times F's coefficients.
     """
-    p = params.p
-    coords = prover_coefficient_coords(params)
-    cidx = {c: j for j, c in enumerate(coords)}
-    zh = univariate_from_roots(params.h, p)
-    l_rows = np.zeros((len(steps), len(coords)), dtype=np.int64)
-    off = np.zeros(len(steps), dtype=np.int64)
-    cube = params.cube
+    p, m = params.p, params.m
+    oracles = {"sigma", "q", *(f"t{i}" for i in range(m))}
+    owner, pts = [], []
     for si, (oracle, pt) in enumerate(steps):
+        if oracle not in oracles:
+            raise ValueError(f"unknown oracle {oracle!r} at m={m}")
         pt = tuple(int(c) for c in pt)
-        if oracle == "sigma":
-            tails = list(cube.suffix_points(len(pt)))
-            off[si] = sum(f_poly.eval(pt + tail) for tail in tails) % p
-            for e in monomial_exponents((params.d,) * params.m):
-                w = 0
-                for tail in tails:
-                    full = pt + tail
-                    w += eval_monomial(e, full, p) - eval_monomial(
-                        e, rev_point(full), p
-                    )
-                if w % p:
-                    l_rows[si, cidx[("Q", e)]] = w % p
-            for i in range(params.m):
-                for e in monomial_exponents(params.t_degree_vector(i)):
-                    w = 0
-                    for tail in tails:
-                        full = pt + tail
-                        w += eval_univariate(zh, full[i], p) * eval_monomial(e, full, p)
-                    if w % p:
-                        l_rows[si, cidx[("T", i, e)]] = w % p
-        elif oracle == "q":
-            for e in monomial_exponents((params.d,) * params.m):
-                l_rows[si, cidx[("Q", e)]] = eval_monomial(e, pt, p)
-        else:
-            i = int(oracle[1:])
-            for e in monomial_exponents(params.t_degree_vector(i)):
-                l_rows[si, cidx[("T", i, e)]] = eval_monomial(e, pt, p)
+        tails = params.cube.suffix_points(len(pt)) if oracle == "sigma" else [()]
+        for tail in tails:
+            owner.append(si)
+            pts.append(pt + tail)
+    kinds = [steps[si][0] for si in owner]
+
+    def weight(kind: str) -> np.ndarray:
+        return np.array([k == kind for k in kinds], dtype=np.int64)
+
+    def gen(dv, at) -> np.ndarray:
+        return rm_generator(CodeView(params.fld, m, dv), at)
+
+    sig = weight("sigma")
+    x = np.array(pts, dtype=np.int64).reshape(len(pts), m) % p
+    zh = univariate_from_roots(params.h, p)
+    zh_at = power_table(p, zh.size - 1)[x] @ zh % p  # Z_H(x_i), shape (n, m)
+    dq = (params.d,) * m
+    blocks = [
+        (sig + weight("q"))[:, None] * gen(dq, pts)
+        - sig[:, None] * gen(dq, map(rev_point, pts))
+    ]
+    for i in range(m):
+        w_t = sig * zh_at[:, i] + weight(f"t{i}")
+        blocks.append(w_t[:, None] * gen(params.t_degree_vector(i), pts))
+    f_at = gen(f_poly.degree_vector, pts) @ f_poly.coeffs.reshape(-1) % p
+    # each step's row sums the rows of its points
+    select = np.arange(len(steps))[:, None] == np.array(owner, dtype=np.int64)
+    select = select.astype(np.int64)
+    l_rows = select @ (np.concatenate(blocks, axis=1) % p) % p
+    off = select @ (sig * f_at) % p
     # image of the coefficient space: row space of the transposed map
     dirs, piv = rref(l_rows.T, p)
     dirs = dirs[: len(piv)]
@@ -363,12 +389,12 @@ def audit_script(
 
     p = params.p
     branches = enumerate_branches(script)
+    laws = symbolic_simulator_law(
+        params, f_poly.eval, gamma, [steps for _, steps in branches], include_mask_row
+    )
     per_branch = []
     all_equal = True
-    for conds, steps in branches:
-        law, cols = symbolic_simulator_law(
-            params, f_poly.eval, gamma, steps, include_mask_row
-        )
+    for (conds, steps), (law, cols) in zip(branches, laws):
         sim_off, sim_dirs = law.marginal(cols)
         re_off, re_dirs = real_law(params, f_poly, steps)
         equal = affine_sets_equal(sim_off, sim_dirs, re_off, re_dirs, p)

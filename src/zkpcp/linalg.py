@@ -63,24 +63,34 @@ def rank(a, p: int) -> int:
 
 
 def kernel_basis(a, p: int) -> np.ndarray:
-    """Rows form a basis of ker(a) = {x : a x = 0}, in echelon form.
+    """Rows form a basis of ker(a) = {x : a x = 0}, in reduced echelon form.
 
     A zero-row matrix indicates a trivial kernel; a (k, n) result has k
-    independent rows. The basis is re-reduced so that leading entries are in
-    strictly increasing column positions under the given column order.
+    independent rows, and it is the unique RREF of ker(a) under the given
+    column order, as a fresh C-contiguous array.
+
+    One elimination suffices, by matroid duality: the pivot columns of a's
+    RREF with its columns reversed form the latest basis of a's column
+    matroid, and the complement of that is the earliest basis of the dual
+    matroid, i.e. the pivot columns of the kernel's RREF. Back-substitution
+    in the reversed order puts each free column's 1 to the right of its
+    row's other entries, so flipping rows and columns back leaves every row
+    led by its own free column with zeros under the other leads: already the
+    reduced form, with no second reduction.
     """
-    m, pivots = rref(a, p)
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    m, pivots = rref(a[:, ::-1], p)
     cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     if not free:
         return np.zeros((0, cols), dtype=np.int64)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[:, free] = np.eye(len(free), dtype=np.int64)
     basis[:, pivots] = (-m[: len(pivots), free].T) % p
-    # The identity on the free columns makes the rows independent, but they
-    # are echelon only when no pivot column left of a free one is nonzero,
-    # so the unique form needs a second reduction.
-    return rref(basis, p)[0]
+    return np.ascontiguousarray(basis[::-1, ::-1])
 
 
 def project_constraints(rows, keep, p: int) -> np.ndarray:
@@ -107,11 +117,8 @@ def image_dual_basis(m, bperp, p: int) -> np.ndarray:
         # the domain is trivial, so the image is {0} and the dual is everything
         return np.eye(m.shape[0], dtype=np.int64)
     bperp = np.asarray(bperp, dtype=np.int64).reshape(-1, m.shape[1]) % p
-    if bperp.shape[0] == 0:
-        bprime = np.eye(m.shape[1], dtype=np.int64)
-    else:
-        bprime = kernel_basis(bperp, p)
-    a = (m @ bprime.T) % p  # columns generate the image
+    # the columns of a generate the image; with no constraints on U that is M
+    a = m if bperp.shape[0] == 0 else (m @ kernel_basis(bperp, p).T) % p
     return kernel_basis(a.T, p)
 
 

@@ -10,9 +10,11 @@ conditional sampling for the mask tables.
 """
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,8 +26,8 @@ from .poly import (
     MultiPoly,
     eval_univariate,
     lagrange_univariate,
+    power_table,
     univariate_from_roots,
-    vandermonde,
 )
 from .rm import CodeView, cd_rm
 
@@ -200,7 +202,7 @@ def _grid_eval(poly: MultiPoly, p: int) -> np.ndarray:
     """
     c = poly.coeffs
     for axis in reversed(range(poly.m)):
-        v = vandermonde(range(p), c.shape[axis] - 1, p)
+        v = power_table(p, c.shape[axis] - 1)
         moved = np.moveaxis(c, axis, 0)
         if c.shape[axis] * (p - 1) * (p - 1) < 2**53:
             prod = v.astype(np.float64) @ moved.reshape(moved.shape[0], -1).astype(
@@ -259,7 +261,9 @@ def prove(
     p, m, d = params.p, params.m, params.d
     if p**m > table_cap:
         raise ValueError("dense proof tables exceed the size cap")
-    if f_poly.m != m or any(dd > d for dd in f_poly.degree_vector):
+    if f_poly.m != m:
+        raise ValueError(f"instance polynomial has arity {f_poly.m}, expected {m}")
+    if any(dd > d for dd in f_poly.degree_vector):
         raise ValueError("instance polynomial degree exceeds d")
     fld = params.fld
     q = MultiPoly(p, fld.sample_array(rng, (d + 1,) * m))
@@ -292,9 +296,6 @@ class ViewRecord:
         return ViewRecord(seed, tuple(session.transcript))
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=64)
 def _inverse_vandermonde_cached(nodes: tuple[int, ...], p: int) -> np.ndarray:
     from .poly import _inverse_vandermonde
@@ -310,11 +311,6 @@ def _fit_univariate(nodes: Sequence[int], values: Sequence[int], p: int) -> np.n
 
 def _interp_eval(nodes: Sequence[int], values: Sequence[int], x: int, p: int) -> int:
     return eval_univariate(_fit_univariate(nodes, values, p), x, p)
-
-
-@lru_cache(maxsize=16)
-def _full_vandermonde(p: int, degree: int) -> np.ndarray:
-    return vandermonde(range(p), degree, p)
 
 
 def line_test_count(params: PcpParams) -> int:
@@ -388,7 +384,7 @@ def verify(
             ]
             deg = dv[axis]
             coeffs = _fit_univariate(range(deg + 1), vals[: deg + 1], p)
-            expected = (_full_vandermonde(p, deg) @ coeffs) % p
+            expected = (power_table(p, deg) @ coeffs) % p
             if not np.array_equal(expected, np.asarray(vals, dtype=np.int64) % p):
                 return VerifyResult(
                     False, f"degree test failed on {name} axis {axis}", log, path
@@ -428,6 +424,14 @@ class ViewState:
         # the full-arity proof-word points, in order of arrival; every T_i
         # table holds exactly these points
         self.activated: list[Point] = []
+
+    def fork(self) -> "ViewState":
+        """An independent copy, for continuing the view along another branch."""
+        other = copy.copy(self)
+        other.coords = list(self.coords)
+        other.index = dict(self.index)
+        other.activated = list(self.activated)
+        return other
 
     def coord(self, oracle: str, pt) -> Coord:
         """The coordinate a query names; ValueError if no proof could answer it."""

@@ -7,6 +7,7 @@ indexing powers of X_i. m = 0 (a constant) is a 0-d array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -93,13 +94,21 @@ class MultiPoly:
         return not np.any(self.coeffs)
 
 
-def vandermonde(nodes: Sequence[int], degree: int, p: int) -> np.ndarray:
-    """|nodes| x (degree+1) matrix of powers node^k mod p."""
-    v = np.empty((len(nodes), degree + 1), dtype=np.int64)
-    v[:, 0] = 1
+@lru_cache(maxsize=64)
+def power_table(p: int, degree: int) -> np.ndarray:
+    """Read-only p x (degree+1) table: row x holds x^k mod p for k <= degree."""
+    t = np.empty((p, degree + 1), dtype=np.int64)
+    t[:, 0] = 1
+    x = np.arange(p, dtype=np.int64)
     for k in range(1, degree + 1):
-        v[:, k] = (v[:, k - 1] * np.asarray(nodes, dtype=np.int64)) % p
-    return v
+        t[:, k] = (t[:, k - 1] * x) % p
+    t.flags.writeable = False
+    return t
+
+
+def vandermonde(nodes: Sequence[int], degree: int, p: int) -> np.ndarray:
+    """|nodes| x (degree+1) matrix of powers node^k mod p, a fresh array."""
+    return power_table(p, degree)[np.asarray(nodes, dtype=np.int64) % p]
 
 
 def univariate_from_roots(roots: Iterable[int], p: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .domains import Point, ProductSet, dedup_points, sort_points
-from .linalg import rref
 from .rm import CodeView, ConstraintBasis, cd_rm, cd_zero_rm
 
 ColKey = tuple[str, Point]
@@ -110,14 +109,16 @@ def check_constraints(view: CodeView, pts: Sequence[Point], s: ProductSet) -> bo
 
 
 def interpolating_set(view: CodeView, pts: Sequence[Point]) -> list[Point]:
-    """The free-variable positions of the RREF'd detector output on pts.
+    """The free-variable positions of the detector output on pts.
 
-    The result is unconstrained, and every dropped point is determined by it.
+    ``cd_rm`` returns its rows in reduced echelon form, so the pivots are
+    each row's leading nonzero. The result is unconstrained, and every
+    dropped point is determined by it.
     """
     cb = cd_rm(view, pts)
     if cb.is_empty():
         return list(cb.domain)
-    _, pivots = rref(cb.z, view.p)
+    pivots = set(np.argmax(cb.z != 0, axis=1).tolist())
     return [pt for j, pt in enumerate(cb.domain) if j not in pivots]
 
 

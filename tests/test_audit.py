@@ -16,9 +16,18 @@ from zkpcp.audit import (
     script_battery,
     symbolic_simulator_law,
 )
+import zkpcp.audit as audit_mod
+from zkpcp.domains import rev_point
+from zkpcp.linalg import rref
 from zkpcp.oracles import uniform_law_tv
 from zkpcp.pcp import SimulatorSession, SumcheckParams
-from zkpcp.poly import MultiPoly
+from zkpcp.poly import (
+    MultiPoly,
+    eval_monomial,
+    eval_univariate,
+    monomial_exponents,
+    univariate_from_roots,
+)
 
 
 def xy_poly(p):
@@ -192,7 +201,7 @@ def test_real_law_matches_sampled_proofs():
 def test_symbolic_law_matches_sampling_simulator():
     params = PARAMS3
     steps = [("sigma", (2, 2)), ("t0", (2, 2)), ("t1", (2, 2))]
-    law, cols = symbolic_simulator_law(params, POLY3.eval, GAMMA3, steps)
+    [(law, cols)] = symbolic_simulator_law(params, POLY3.eval, GAMMA3, [steps])
     off, dirs = law.marginal(cols)
     from zkpcp.linalg import kernel_basis
 
@@ -249,7 +258,7 @@ def test_simulator_draws_lie_in_the_symbolic_law():
     poly = xy_poly(5)
     steps = [("sigma", (2,)), ("q", (2, 3)), ("t0", (3, 2)), ("sigma", (3, 2)),
              ("q", (3, 2)), ("sigma", ())]
-    law, cols = symbolic_simulator_law(params, poly.eval, 1, steps)
+    [(law, cols)] = symbolic_simulator_law(params, poly.eval, 1, [steps])
     for seed in range(3):
         sim = SimulatorSession(params, poly.eval, 1, random.Random(seed))
         answers = [sim.query(o, pt) for o, pt in steps]
@@ -257,3 +266,110 @@ def test_simulator_draws_lie_in_the_symbolic_law():
         assert answers == [sim.values[j] for j in cols]
         x = np.array(sim.values, dtype=np.int64)
         assert not np.any((law.ab[:, :-1] @ x - law.ab[:, -1]) % 5)
+
+
+def per_entry_real_law(params, f_poly, steps):
+    """The real law built one monomial at a time with ``eval_monomial``;
+    the reference for ``real_law``'s generator rows."""
+    p = params.p
+    coords = [("Q", e) for e in monomial_exponents((params.d,) * params.m)]
+    for i in range(params.m):
+        coords.extend(("T", i, e) for e in monomial_exponents(params.t_degree_vector(i)))
+    cidx = {c: j for j, c in enumerate(coords)}
+    zh = univariate_from_roots(params.h, p)
+    l_rows = np.zeros((len(steps), len(coords)), dtype=np.int64)
+    off = np.zeros(len(steps), dtype=np.int64)
+    for si, (oracle, pt) in enumerate(steps):
+        pt = tuple(int(c) for c in pt)
+        if oracle == "sigma":
+            tails = list(params.cube.suffix_points(len(pt)))
+            off[si] = sum(f_poly.eval(pt + tail) for tail in tails) % p
+            for e in monomial_exponents((params.d,) * params.m):
+                w = sum(
+                    eval_monomial(e, pt + t, p) - eval_monomial(e, rev_point(pt + t), p)
+                    for t in tails
+                )
+                l_rows[si, cidx[("Q", e)]] = w % p
+            for i in range(params.m):
+                for e in monomial_exponents(params.t_degree_vector(i)):
+                    w = sum(
+                        eval_univariate(zh, (pt + t)[i], p) * eval_monomial(e, pt + t, p)
+                        for t in tails
+                    )
+                    l_rows[si, cidx[("T", i, e)]] = w % p
+        elif oracle == "q":
+            for e in monomial_exponents((params.d,) * params.m):
+                l_rows[si, cidx[("Q", e)]] = eval_monomial(e, pt, p)
+        else:
+            i = int(oracle[1:])
+            for e in monomial_exponents(params.t_degree_vector(i)):
+                l_rows[si, cidx[("T", i, e)]] = eval_monomial(e, pt, p)
+    dirs, piv = rref(l_rows.T, p)
+    return off, dirs[: len(piv)]
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (7, 2)])
+def test_real_law_equals_per_entry_reference(p, m):
+    rng = np.random.default_rng(p * 10 + m)
+    params = SumcheckParams(p, m, 3, (0, 1))
+    poly = MultiPoly(p, rng.integers(0, p, (4,) * m))
+    oracles = ["q"] + [f"t{i}" for i in range(m)]
+    for _ in range(8):
+        steps = [("sigma", tuple(int(x) for x in rng.integers(0, p, k))) for k in range(m + 1)]
+        steps += [(o, tuple(int(x) for x in rng.integers(0, p, m))) for o in oracles]
+        order = rng.permutation(len(steps))
+        steps = [steps[j] for j in order]
+        off, dirs = real_law(params, poly, steps)
+        want_off, want_dirs = per_entry_real_law(params, poly, steps)
+        assert np.array_equal(off, want_off)
+        assert np.array_equal(dirs, want_dirs)
+    assert real_law(params, poly, [])[0].shape == (0,)
+    with pytest.raises(ValueError, match="unknown oracle"):
+        real_law(params, poly, [(f"t{m}", (0,) * m)])
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 3)])
+def test_shared_prefix_law_equals_independent_runs(p, m):
+    params = SumcheckParams(p, m, 3, (0, 1))
+    rng = np.random.default_rng(p)
+    poly = MultiPoly(p, rng.integers(0, p, (4,) * m))
+    gamma = sum(poly.eval(pt) for pt in params.cube.points()) % p
+    scripts = [s for s in script_battery(params, 40, 3) if len(enumerate_branches(s)) > 1]
+    assert len(scripts) >= 5
+    for script in scripts:
+        branches = [steps for _, steps in enumerate_branches(script)]
+        shared = symbolic_simulator_law(params, poly.eval, gamma, branches)
+        assert len(shared) == len(branches)
+        for steps, (law, cols) in zip(branches, shared):
+            [(alone, alone_cols)] = symbolic_simulator_law(params, poly.eval, gamma, [steps])
+            assert np.array_equal(law.ab, alone.ab)
+            assert cols == alone_cols
+
+
+def test_shared_prefix_is_built_once(monkeypatch):
+    calls = []
+    gather = audit_mod.gather_state_rows
+
+    def counting(view):
+        calls.append(tuple(view.coords))
+        return gather(view)
+
+    monkeypatch.setattr(audit_mod, "gather_state_rows", counting)
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    poly = xy_poly(5)
+    prefix = [("sigma", (2,)), ("q", (2, 3))]
+    branches = [prefix + [("t0", (3, 2))], prefix + [("sigma", (4, 4))], prefix + [("q", (2, 3))]]
+    laws = symbolic_simulator_law(params, poly.eval, 1, branches)
+    # two prefix steps once, then one step for each branch that adds
+    # coordinates (the third re-reads a coordinate already in the view)
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+    assert [cols[:2] for _, cols in laws] == [laws[0][1][:2]] * 3
+    assert laws[2][1][2] == laws[2][1][1]
+    # a branch that is a prefix of another, and a repeated branch
+    calls.clear()
+    branches = [prefix, prefix + [("t0", (3, 2))], prefix]
+    laws = symbolic_simulator_law(params, poly.eval, 1, branches)
+    assert len(calls) == 3
+    assert np.array_equal(laws[0][0].ab, laws[2][0].ab)
+    assert laws[1][0].n > laws[0][0].n

@@ -143,6 +143,45 @@ def test_kernel_dimension_and_membership():
             assert leads == sorted(set(leads))
 
 
+def two_elimination_kernel(a, p):
+    """Kernel basis by back-substitution from rref(a), then a second rref to
+    reach the unique reduced form; the reference for ``kernel_basis``."""
+    m, pivots = rref(a, p)
+    cols = m.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[:, free] = np.eye(len(free), dtype=np.int64)
+    basis[:, pivots] = (-m[: len(pivots), free].T) % p
+    return rref(basis, p)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_kernel_basis_equals_two_elimination_reference(p):
+    rng = np.random.default_rng(p)
+    cases = [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+             np.zeros((0, 0), dtype=np.int64), np.zeros((2, 5), dtype=np.int64)]
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 9, 2))
+        a = rng.integers(0, p, (rows, cols))
+        cases.append(a)  # full rank for most shapes at p > 2
+        k = int(rng.integers(0, rows))
+        # the last rows combine the first k: rank at most k
+        deficient = a.copy()
+        deficient[k:] = (rng.integers(0, p, (rows - k, k)) @ a[:k]) % p
+        cases.append(deficient)
+    ranks = set()
+    for a in cases:
+        got = kernel_basis(a, p)
+        want = two_elimination_kernel(a, p)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want)
+        if a.size:
+            ranks.add(rank(a, p) == min(a.shape))
+    assert ranks == {True, False}  # both full-rank and rank-deficient inputs
+
+
 def brute_image_dual(m, u_vectors, p):
     image = {tuple((np.asarray(m) @ u) % p) for u in u_vectors}
     dim = np.asarray(m).shape[0]

@@ -130,6 +130,16 @@ def test_prove_deterministic_given_seed():
     assert all(np.array_equal(x, y) for x, y in zip(a.t, b.t))
 
 
+def test_prove_names_the_wrong_arity():
+    params = PcpParams(5, 2, 3, (0, 1))
+    cube3 = MultiPoly(5, np.ones((2, 2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="instance polynomial has arity 3, expected 2"):
+        prove(cube3, params, random.Random(0))
+    too_high = MultiPoly(5, np.ones((5, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="degree exceeds d"):
+        prove(too_high, params, random.Random(0))
+
+
 def test_honest_proof_structure_and_total():
     params = PcpParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
