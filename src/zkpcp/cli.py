@@ -150,31 +150,38 @@ def cmd_simulate(args) -> int:
     sim = SimulatorSession(params, f_eval, gamma, trial_rng(args.seed, 0))
     answers: list[int] = []
     records = []
-    for step in script:
-        if not isinstance(step, ScriptStep):
-            taken = step.then if answers[step.step] == step.equals else step.else_
-            step = taken
-        val = sim.query(step.oracle, step.point)
-        answers.append(val)
+    status = 0
+    try:
+        for step in script:
+            if not isinstance(step, ScriptStep):
+                taken = step.then if answers[step.step] == step.equals else step.else_
+                step = taken
+            val = sim.query(step.oracle, step.point)
+            answers.append(val)
+            records.append(
+                {"record": "view", "oracle": step.oracle, "point": list(step.point), "answer": val}
+            )
         records.append(
-            {"record": "view", "oracle": step.oracle, "point": list(step.point), "answer": val}
+            {
+                "record": "simulate",
+                "p": params.p,
+                "m": params.m,
+                "d": params.d,
+                "seed": args.seed,
+                "queries": len(records),
+            }
         )
-    header = {
-        "record": "simulate",
-        "p": params.p,
-        "m": params.m,
-        "d": params.d,
-        "seed": args.seed,
-        "queries": len(records),
-    }
-    emit(header)
+    except RuntimeError as exc:
+        # the views answered before the failure stay in the output
+        records.append({"record": "error", "message": str(exc), "queries": len(records)})
+        status = 1
     for rec in records:
         emit(rec)
     if args.out:
         Path(args.out).write_text(
-            "\n".join(json.dumps(r, sort_keys=True) for r in [header] + records) + "\n"
+            "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
         )
-    return 0
+    return status
 
 
 def cmd_audit_zk(args) -> int:

@@ -181,9 +181,12 @@ def compose(inner: EncodingSpec, outer: EncodingSpec, name: str | None = None) -
 
 
 def sigma_rm_spec(fld: Field, m: int, dv: Sequence[int], a: ProductSet) -> EncodingSpec:
+    """The sum-code encoding. The spec owns one map of located layers (see
+    ``sigma_rm_locate``), so each layer is located once over its lifetime."""
     view = CodeView(fld, m, tuple(dv))
+    located: dict = {}
     return EncodingSpec(
-        "sigma-rm", fld, lambda pts: sigma_rm_locate(view, a, pts)
+        "sigma-rm", fld, lambda pts: sigma_rm_locate(view, a, pts, located)
     )
 
 

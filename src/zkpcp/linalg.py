@@ -96,12 +96,23 @@ def kernel_basis(a, p: int) -> np.ndarray:
 def project_constraints(rows, keep, p: int) -> np.ndarray:
     """Basis of the constraints on the ``keep`` columns implied by ``rows``.
 
-    The solutions of ``rows`` are projected onto the kept columns and the
-    projection is dualised. Empty cases need no branch: the kernel of a
-    zero-row matrix is the identity, and the dual of a zero-row projection is
-    the identity on the kept columns.
+    This is the dual of the projection of ker(rows) onto the kept columns,
+    in the order ``keep`` lists them (distinct indices), as its unique
+    reduced echelon basis: ``kernel_basis(kernel_basis(rows)[:, keep])``.
+
+    One elimination suffices. The dual of the projection is the row space of
+    ``rows`` meeting the vectors that vanish off ``keep``. With the dropped
+    columns moved first, the reduced rows whose pivot lies in the kept block
+    are zero on every dropped column and span that intersection, since a
+    combination using any other row is nonzero at that row's pivot. Those
+    rows, restricted to the kept columns, are already in reduced form.
     """
-    return kernel_basis(kernel_basis(rows, p)[:, keep], p)
+    rows = np.asarray(rows, dtype=np.int64)
+    kept = set(keep)
+    dropped = [c for c in range(rows.shape[1]) if c not in kept]
+    m, pivots = rref(rows[:, dropped + list(keep)], p)
+    first = sum(c < len(dropped) for c in pivots)
+    return np.ascontiguousarray(m[first : len(pivots), len(dropped) :])
 
 
 def image_dual_basis(m, bperp, p: int) -> np.ndarray:

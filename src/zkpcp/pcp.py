@@ -424,9 +424,16 @@ class ViewState:
         # the full-arity proof-word points, in order of arrival; every T_i
         # table holds exactly these points
         self.activated: list[Point] = []
+        # (table, points) -> that table's cd_rm basis on the points
+        self.table_bases: dict = {}
 
     def fork(self) -> "ViewState":
-        """An independent copy, for continuing the view along another branch."""
+        """An independent copy, for continuing the view along another branch.
+
+        The copy shares the spec's located layers and ``table_bases``: both
+        hold pure functions of the parameters and the points, so they stay
+        valid on every branch.
+        """
         other = copy.copy(self)
         other.coords = list(self.coords)
         other.index = dict(self.index)
@@ -579,7 +586,10 @@ def build_table_rows(view: ViewState) -> np.ndarray:
     ]
     blocks = []
     for oracle, dv, pts in tables:
-        cb = cd_rm(CodeView(params.fld, m, dv), pts)
+        key = (oracle, tuple(pts))
+        if key not in view.table_bases:
+            view.table_bases[key] = cd_rm(CodeView(params.fld, m, dv), pts)
+        cb = view.table_bases[key]
         rows = np.zeros((len(cb.z), len(view.coords)), dtype=np.int64)
         rows[:, view.cols(oracle, cb.domain)] = cb.z
         blocks.append(rows)

@@ -110,7 +110,9 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     sum_i Z_{S_i}(X_i) g_i, with g_i of degree d_i - |S_i| in X_i and d_j in
     the other variables. So the zero code restricted to the points is the
     column span of the stacked per-axis generators, each row weighted by
-    Z_{S_i}(x_i), and that span is dualised.
+    Z_{S_i}(x_i), and that span is dualised. Each axis block is a subset of
+    the columns of one full-degree generator: the monomials whose exponent
+    in axis i is at most d_i - |S_i|, in the same monomial order.
     """
     if view.zero_on is None:
         raise ValueError("view has no zero-set marker; use cd_rm")
@@ -119,13 +121,15 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     if not dom:
         return ConstraintBasis(dom, np.zeros((0, 0), dtype=np.int64))
     x = _coords(dom, view)
+    full = rm_generator(view, dom)
+    exps = np.indices([d + 1 for d in view.dv]).reshape(view.m, full.shape[1])
     blocks = [np.zeros((len(dom), 0), dtype=np.int64)]
     for i, s_i in enumerate(view.zero_on.factors):
         z = np.ones(len(dom), dtype=np.int64)
         for root in s_i:
             z = z * ((x[:, i] - root) % p) % p
-        dv_i = tuple(d - len(s_i) if j == i else d for j, d in enumerate(view.dv))
-        blocks.append(z[:, None] * rm_generator(view.with_degrees(dv_i), dom) % p)
+        cols = exps[i] <= view.dv[i] - len(s_i)
+        blocks.append(z[:, None] * full[:, cols] % p)
     g = np.concatenate(blocks, axis=1)
     h = image_dual_basis(g, np.zeros((0, g.shape[1]), dtype=np.int64), p)
     return ConstraintBasis(dom, h)

@@ -122,14 +122,8 @@ def interpolating_set(view: CodeView, pts: Sequence[Point]) -> list[Point]:
     return [pt for j, pt in enumerate(cb.domain) if j not in pivots]
 
 
-def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOutput:
-    """Locator for the uniform low-degree-extension encoding of messages on a.
-
-    Search runs the decision procedure at reduced degree over prefixes of the
-    product set in depth-first order (factors in index order, elements in
-    field-value order); grid points inside the query set are systematic and
-    included directly. |R| <= |I| always.
-    """
+def require_locator_view(view: CodeView, a: ProductSet):
+    """Refuse a code view the locators cannot serve for messages on a."""
     if view.zero_on is not None:
         raise ValueError("locator expects a plain code view")
     if a.m != view.m:
@@ -137,11 +131,49 @@ def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOut
     for d, f in zip(view.dv, a.factors):
         if d < 2 * (len(f) - 1):
             raise ValueError("need d_i >= 2(|A_i| - 1)")
+
+
+def systematic_locate(view: CodeView, pts: Sequence[Point]) -> LocatorOutput:
+    """``rm_locate`` on distinct points that all lie in the product set.
+
+    Such a set needs no search and no detector: every subset of the product
+    set is unconstrained at each degree vector with d_i >= |A_i| - 1, the
+    reduced one included, so the search flags nothing, the points themselves
+    are R and only their copy rows remain.
+    """
+    eye = np.eye(len(pts), dtype=np.int64)
+    return LocatorOutput(
+        r=tuple(pts),
+        cols=tuple([("m", pt) for pt in pts] + [("c", pt) for pt in pts]),
+        z=np.hstack([eye, eye * (view.p - 1)]),
+        meta={
+            "interpolating_set": list(pts),
+            "flagged_per_level": [0] * max(view.m, 1),
+        },
+    )
+
+
+def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOutput:
+    """Locator for the uniform low-degree-extension encoding of messages on a.
+
+    Search runs the decision procedure at reduced degree over prefixes of the
+    product set in depth-first order (factors in index order, elements in
+    field-value order); grid points inside the query set are systematic and
+    included directly. |R| <= |I| always. A nonempty query set inside the
+    product set is answered by ``systematic_locate``.
+    """
+    require_locator_view(view, a)
     pts = [pt for pt in dedup_points(pts)]
     for pt in pts:
         if len(pt) != view.m:
             raise ValueError(f"point {pt} is not full arity")
+    if pts and all(a.contains(pt) for pt in pts):
+        return systematic_locate(view, pts)
+    return _searched_locate(view, a, pts)
 
+
+def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> LocatorOutput:
+    """``rm_locate`` by search, on checked and deduplicated full-arity points."""
     dprime = tuple(d - (len(f) - 1) for d, f in zip(view.dv, a.factors))
     dview = view.with_degrees(dprime)
     # The interpolating set lives at the reduced degree: the search's

@@ -8,7 +8,7 @@ decomposition and projects out the auxiliary closure points.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -16,7 +16,13 @@ from .domains import Point, ProductSet, a_closure, dedup_points, sort_points
 from .linalg import project_constraints
 from .poly import eval_univariate, lagrange_univariate
 from .rm import CodeView
-from .rm_locator import ColKey, LocatorOutput, rm_locate
+from .rm_locator import (
+    ColKey,
+    LocatorOutput,
+    require_locator_view,
+    rm_locate,
+    systematic_locate,
+)
 
 
 def flatten(
@@ -72,7 +78,10 @@ def summation_rows(
 
 
 def sigma_rm_locate(
-    view: CodeView, a: ProductSet, pts: Sequence[Point]
+    view: CodeView,
+    a: ProductSet,
+    pts: Sequence[Point],
+    located: Optional[dict] = None,
 ) -> LocatorOutput:
     """Locator for the encoding that augments a random extension with all of
     its subcube sums over the product set.
@@ -81,9 +90,15 @@ def sigma_rm_locate(
     zero, whose single coordinate is the systematic total sum), closes the
     union of message sets, ties the layers with summation rows, and projects
     the kernel onto message columns plus the original queries.
+
+    A layer inside the product set is systematic and needs no search.
+    ``located``, when given, is a caller-owned map from (arity, layer) to the
+    plain locator's output on that layer. A layer already in it is not
+    located again, and each new one is added. The output is a pure function
+    of (view, a, layer), so the map is valid for every call with the same
+    view and product set.
     """
-    if view.zero_on is not None:
-        raise ValueError("locator expects a plain code view")
+    require_locator_view(view, a)
     p = view.p
     queries = dedup_points(pts)
     for pt in queries:
@@ -91,6 +106,7 @@ def sigma_rm_locate(
             raise ValueError(f"point {pt} longer than arity {view.m}")
     ihat = a_closure(queries, a)
     iset = set(ihat)
+    located = {} if located is None else located
 
     per_arity: list[LocatorOutput] = []
     r_all: list[Point] = []
@@ -98,8 +114,14 @@ def sigma_rm_locate(
         layer = [q for q in ihat if len(q) == i]
         if not layer:
             continue
-        view_i = CodeView(view.field, i, view.dv[:i])
-        loc = rm_locate(view_i, a.prefix(i), layer)
+        key = (i, tuple(layer))
+        if key not in located:
+            view_i, a_i = CodeView(view.field, i, view.dv[:i]), a.prefix(i)
+            if all(a_i.contains(q) for q in layer):
+                located[key] = systematic_locate(view_i, layer)
+            else:
+                located[key] = rm_locate(view_i, a_i, layer)
+        loc = located[key]
         per_arity.append(loc)
         r_all.extend(loc.r)
 

@@ -20,7 +20,7 @@ import zkpcp.audit as audit_mod
 from zkpcp.domains import rev_point
 from zkpcp.linalg import rref
 from zkpcp.oracles import uniform_law_tv
-from zkpcp.pcp import SimulatorSession, SumcheckParams
+from zkpcp.pcp import SimulatorSession, SumcheckParams, ViewState, gather_state_rows
 from zkpcp.poly import (
     MultiPoly,
     eval_monomial,
@@ -373,3 +373,58 @@ def test_shared_prefix_is_built_once(monkeypatch):
     assert len(calls) == 3
     assert np.array_equal(laws[0][0].ab, laws[2][0].ab)
     assert laws[1][0].n > laws[0][0].n
+
+
+def test_reused_views_gather_the_rows_of_fresh_ones(monkeypatch):
+    """Forks share the located layers and the table bases. Over a 60-script
+    battery, every forked view that reuses them gathers exactly the rows of
+    a fresh view replaying the same admissions, and reuse saves work."""
+    import zkpcp.pcp as pcp_mod
+    import zkpcp.sigma_rm as sigma_mod
+
+    calls = {"rm_locate": 0, "cd_rm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sigma_mod, "rm_locate", counted("rm_locate", sigma_mod.rm_locate))
+    monkeypatch.setattr(pcp_mod, "cd_rm", counted("cd_rm", pcp_mod.cd_rm))
+
+    def gather(view):
+        before = dict(calls)
+        rows = gather_state_rows(view)
+        return rows, {k: calls[k] - before[k] for k in calls}
+
+    params = SumcheckParams(5, 3, 3, (0, 1))
+    rng = np.random.default_rng(5)
+    poly = MultiPoly(5, rng.integers(0, 5, (4, 4, 4)))
+    gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 5
+    spent = {"reused": {"rm_locate": 0, "cd_rm": 0}, "fresh": {"rm_locate": 0, "cd_rm": 0}}
+    for script in script_battery(params, 60, 0):
+        root = ViewState(params, poly.eval, gamma)
+        for _, steps in enumerate_branches(script):
+            view, admitted = root, []
+            for step in steps:
+                view = view.fork()
+                c = view.coord(*step)
+                if not view.admit(c):
+                    continue
+                admitted.append(c)
+                fresh = ViewState(params, poly.eval, gamma)
+                for e in admitted:
+                    fresh.admit(e)
+                assert fresh.coords == view.coords
+                (a, b, reads), used = gather(view)
+                (fa, fb, freads), fresh_used = gather(fresh)
+                assert np.array_equal(a, fa) and np.array_equal(b, fb)
+                assert reads == freads
+                for k in calls:
+                    spent["reused"][k] += used[k]
+                    spent["fresh"][k] += fresh_used[k]
+            assert view.table_bases is root.table_bases
+    for k in calls:
+        assert 0 < spent["reused"][k] < spent["fresh"][k], (k, spent)

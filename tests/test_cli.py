@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,54 @@ def test_simulate_deterministic_given_seed(script_file):
     assert recs1 == recs2
     views = [r for r in recs1 if r["record"] == "view"]
     assert len(views) == 3
+
+
+def test_simulate_ends_with_summary(script_file):
+    code, recs = run_cli("simulate", "--script", script_file, "--seed", "11")
+    assert code == 0
+    assert [r["record"] for r in recs] == ["view"] * 3 + ["simulate"]
+    assert recs[-1]["queries"] == 3
+
+
+def test_simulate_failure_keeps_answered_views(tmp_path):
+    """A session that turns inconsistent prints its answered views, then an
+    error record, and exits 1. The script is the honest verifier's reads at
+    p=5, m=2 on the CLI's seed-0 instance, through the CLI's seed-0 session,
+    up to and including the query that fails."""
+    from zkpcp.cli import random_instance, trial_rng
+    from zkpcp.pcp import PcpParams, SimulatorSession, verify
+
+    params = PcpParams(5, 2, 3, (0, 1))
+    poly, gamma = random_instance(params, 0)
+    sim = SimulatorSession(params, poly.eval, gamma, trial_rng(0, 0))
+    asked = []
+
+    class Reads:
+        def read(self, oracle, pt):
+            asked.append({"oracle": oracle, "point": list(pt)})
+            return sim.query(oracle, pt)
+
+        def sigma_at(self, pt):
+            return self.read("sigma", pt)
+
+        def q_at(self, pt):
+            return self.read("q", pt)
+
+        def t_at(self, i, pt):
+            return self.read(f"t{i}", pt)
+
+    with pytest.raises(RuntimeError):
+        verify(poly.eval, params, Reads(), random.Random(2), gamma=gamma)
+    assert len(asked) == 28
+    path = tmp_path / "crash.json"
+    path.write_text(json.dumps({"steps": asked}))
+    code, recs = run_cli(
+        "simulate", "--script", str(path), "--field", "5", "--m", "2", "--seed", "0"
+    )
+    assert code == 1
+    assert [r["record"] for r in recs] == ["view"] * 27 + ["error"]
+    assert [r["answer"] for r in recs[:-1]] == [v for _, _, v in sim.transcript]
+    assert "inconsistent" in recs[-1]["message"]
 
 
 def test_audit_zk_battery_passes_and_negative_control_fails():

@@ -7,6 +7,7 @@ from zkpcp.linalg import (
     AffineSystem,
     image_dual_basis,
     kernel_basis,
+    project_constraints,
     rank,
     rref,
     sample_affine,
@@ -180,6 +181,35 @@ def test_kernel_basis_equals_two_elimination_reference(p):
         if a.size:
             ranks.add(rank(a, p) == min(a.shape))
     assert ranks == {True, False}  # both full-rank and rank-deficient inputs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_project_constraints_equals_kernel_of_kernel(p):
+    """One elimination gives the dual of the projected solution space exactly
+    as the two-kernel formula does, for any subset and order of columns."""
+    rng = np.random.default_rng(10 + p)
+    cases = [
+        (np.zeros((0, 5), dtype=np.int64), [3, 0]),  # no rows: nothing implied
+        (np.zeros((3, 4), dtype=np.int64), [1, 2, 3]),  # zero rows
+        (rng.integers(0, p, (3, 5)), []),  # empty keep
+        (np.zeros((0, 0), dtype=np.int64), []),
+    ]
+    for _ in range(80):
+        rows, cols = (int(x) for x in rng.integers(1, 9, 2))
+        a = rng.integers(0, p, (rows, cols))
+        if rows > 2:
+            a[-1] = (2 * a[0] + a[1]) % p  # a dependent row
+        if rng.random() < 0.3:
+            a[:, int(rng.integers(0, cols))] = 0  # a column no row touches
+        keep = [int(c) for c in rng.permutation(cols)[: int(rng.integers(0, cols + 1))]]
+        cases.append((a, keep))
+        cases.append((a, list(range(cols))))  # every column kept, in order
+        cases.append((a, [int(c) for c in rng.permutation(cols)]))  # all, permuted
+    for a, keep in cases:
+        got = project_constraints(a, keep, p)
+        want = kernel_basis(kernel_basis(a, p)[:, keep], p)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want), (a, keep)
 
 
 def brute_image_dual(m, u_vectors, p):

@@ -8,7 +8,12 @@ from zkpcp.domains import ProductSet, hypercube
 from zkpcp.field import Field
 from zkpcp.oracles import pack_assignment, packed_attainable_set
 from zkpcp.rm import CodeView, cd_rm
-from zkpcp.rm_locator import check_constraints, interpolating_set, rm_locate
+from zkpcp.rm_locator import (
+    _searched_locate,
+    check_constraints,
+    interpolating_set,
+    rm_locate,
+)
 
 
 def locator_matches_bruteforce(view, a, pts):
@@ -171,3 +176,24 @@ def test_rm_locate_arity_zero():
     out = rm_locate(view, ProductSet(()), [()])
     assert out.r == ((),)
     assert out.z.shape[0] == 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_rm_locate_inside_the_product_set_is_systematic(m, d):
+    """Every subset of A up to size 4, in two orders: the closed form equals
+    the search's output, meta included, and cd_rm finds no constraint."""
+    f = Field(5)
+    view = CodeView(f, m, (d,) * m)
+    a = hypercube((0, 1), m)
+    cube = list(a.points())
+    for k in range(1, 5):
+        for subset in itertools.combinations(cube, k):
+            for pts in (list(subset), list(reversed(subset))):
+                got = rm_locate(view, a, pts)
+                want = _searched_locate(view, a, pts)
+                assert got.r == want.r == tuple(pts)
+                assert got.cols == want.cols
+                assert np.array_equal(got.z, want.z)
+                assert got.meta == want.meta
+                assert cd_rm(view, pts).is_empty()

@@ -170,6 +170,17 @@ def test_flatten_rejects_bad_anchor():
         flatten({}, 2, 4, [()], a, 5)
 
 
+def test_sigma_rm_locate_refuses_views_whatever_the_queries():
+    # layers inside the product set skip the plain locator, so the view is
+    # checked up front, even for a total-sum query alone
+    f = Field(5)
+    a = hypercube((0, 1), 2)
+    for view in (CodeView(f, 2, (1, 1)), CodeView(f, 1, (2,))):
+        for pts in ([()], [(0, 1)], [(2, 3)]):
+            with pytest.raises(ValueError):
+                sigma_rm_locate(view, a, pts)
+
+
 def sum_word_of(msg_cube, a, p):
     word = {}
     for i in range(a.m + 1):
