@@ -151,16 +151,22 @@ def cmd_simulate(args) -> int:
     answers: list[int] = []
     records = []
     status = 0
-    try:
-        for step in script:
-            if not isinstance(step, ScriptStep):
-                taken = step.then if answers[step.step] == step.equals else step.else_
-                step = taken
+    for step in script:
+        if not isinstance(step, ScriptStep):
+            taken = step.then if answers[step.step] == step.equals else step.else_
+            step = taken
+        try:
             val = sim.query(step.oracle, step.point)
-            answers.append(val)
-            records.append(
-                {"record": "view", "oracle": step.oracle, "point": list(step.point), "answer": val}
-            )
+        except RuntimeError as exc:
+            # the views answered before the failure stay in the output
+            records.append({"record": "error", "message": str(exc), "queries": len(records)})
+            status = 1
+            break
+        answers.append(val)
+        records.append(
+            {"record": "view", "oracle": step.oracle, "point": list(step.point), "answer": val}
+        )
+    if status == 0:
         records.append(
             {
                 "record": "simulate",
@@ -171,10 +177,6 @@ def cmd_simulate(args) -> int:
                 "queries": len(records),
             }
         )
-    except RuntimeError as exc:
-        # the views answered before the failure stay in the output
-        records.append({"record": "error", "message": str(exc), "queries": len(records)})
-        status = 1
     for rec in records:
         emit(rec)
     if args.out:
