@@ -316,7 +316,8 @@ def _membership_checker(off: np.ndarray, dirs: np.ndarray, p: int):
 
 
 def script_battery(params: SumcheckParams, count: int, seed: int) -> list[Script]:
-    """Deterministic adaptive scripts (length <= 4) mixing all oracle families.
+    """Exactly ``count`` deterministic adaptive scripts (length <= 4) mixing
+    all oracle families.
 
     The first few are fixed sensitive cases, including palindromic off-cube
     points whose mask rows bind every answered coordinate (the scripts that
@@ -325,6 +326,8 @@ def script_battery(params: SumcheckParams, count: int, seed: int) -> list[Script
     """
     import random as _random
 
+    if count < 0:
+        raise ValueError(f"script count must be nonnegative, got {count}")
     p, m = params.p, params.m
     rng = _random.Random(seed)
     off = p - 1  # an off-cube coordinate
@@ -374,7 +377,7 @@ def script_battery(params: SumcheckParams, count: int, seed: int) -> list[Script
             else:
                 steps.append(rand_step())
         scripts.append(steps)
-    return scripts
+    return scripts[:count]
 
 
 def audit_script(

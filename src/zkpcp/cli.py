@@ -104,6 +104,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     bundle = load_bundle(args)
     proof = deserialize_proof(Path(args.proof).read_bytes())
     if proof.params != bundle.params:

@@ -14,7 +14,7 @@ import copy
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -193,28 +193,30 @@ class ProofOracle:
 
 
 def _grid_eval(poly: MultiPoly, p: int) -> np.ndarray:
-    """Evaluation table over the full grid F^m, C-contiguous.
+    """Evaluation table over the full grid F^m: int64, C-contiguous.
 
-    Axes are contracted last to first, so the final contraction (axis 0)
-    leaves the table in C order with no transpose. Contractions run in
-    float64 when the accumulator provably stays below 2^53 (exact in IEEE
-    double); otherwise exact int64.
+    Axes are contracted last to first, so the last contraction (axis 0)
+    leaves C order. With k the largest axis length, each contraction runs in
+    float32 if k*p^2 < 2^24, else in float64 (k*p^2 < 2^53), and is exact:
+    every partial sum is an integer below 2^24 (resp. 2^53), and the error of
+    x/p is at most half an ulp of k*p < 1/p, so x - p*floor(x/p) is exact.
     """
     c = poly.coeffs
+    k = max(c.shape, default=1)
+    if k * p * p >= 2**53:
+        raise ValueError("grid evaluation would exceed exact float64 range")
+    dtype = np.float32 if k * p * p < 2**24 else np.float64
+    c = c.astype(dtype)
     for axis in reversed(range(poly.m)):
-        v = power_table(p, c.shape[axis] - 1)
+        v = power_table(p, c.shape[axis] - 1).astype(dtype)
         moved = np.moveaxis(c, axis, 0)
-        if c.shape[axis] * (p - 1) * (p - 1) < 2**53:
-            prod = v.astype(np.float64) @ moved.reshape(moved.shape[0], -1).astype(
-                np.float64
-            )
-            prod = prod.astype(np.int64)
-            prod %= p
-            prod = prod.reshape((p,) + moved.shape[1:])
-        else:
-            prod = np.tensordot(v, moved, axes=(1, 0)) % p
-        c = np.moveaxis(prod, 0, axis)
-    return c
+        prod = v @ moved.reshape(moved.shape[0], -1)
+        quot = np.divide(prod, p)
+        np.floor(quot, out=quot)
+        quot *= p
+        prod -= quot
+        c = np.moveaxis(prod.reshape((p,) + moved.shape[1:]), 0, axis)
+    return c.astype(np.int64)
 
 
 def _mask_table(
@@ -336,14 +338,11 @@ def verify(
     p, m, d = params.p, params.m, params.d
     fld = params.fld
     log: list[tuple[str, Point, int]] = []
+    readers = {"sigma": proof.sigma_at, "q": proof.q_at}
+    readers.update((f"t{i}", partial(proof.t_at, i)) for i in range(m))
 
     def ask(oracle: str, pt: Point) -> int:
-        if oracle == "sigma":
-            v = proof.sigma_at(pt)
-        elif oracle == "q":
-            v = proof.q_at(pt)
-        else:
-            v = proof.t_at(int(oracle[1:]), pt)
+        v = readers[oracle](pt)
         log.append((oracle, pt, v))
         return v
 
@@ -373,15 +372,16 @@ def verify(
     ]
     r_lines = line_test_count(params)
     for k, (name, dv) in enumerate(tables):
+        read = readers[name]
         for j in range(r_lines):
             if line_choices is not None:
                 axis, base = line_choices[k][j]
             else:
                 axis = rng.randrange(m)
                 base = tuple(fld.sample(rng) for _ in range(m))
-            vals = [
-                ask(name, base[:axis] + (x,) + base[axis + 1 :]) for x in range(p)
-            ]
+            pts = [base[:axis] + (x,) + base[axis + 1 :] for x in range(p)]
+            vals = [read(pt) for pt in pts]
+            log.extend(zip([name] * p, pts, vals))
             deg = dv[axis]
             coeffs = _fit_univariate(range(deg + 1), vals[: deg + 1], p)
             expected = (power_table(p, deg) @ coeffs) % p

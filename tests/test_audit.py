@@ -128,9 +128,17 @@ def test_broken_simulator_flagged():
     assert bad.tv > 0 and not bad.support_equal
 
 
+def test_battery_returns_exactly_count_scripts_fixed_first():
+    full = script_battery(PARAMS3, 20, seed=1)
+    for count in range(21):
+        assert script_battery(PARAMS3, count, seed=1) == full[:count]
+    with pytest.raises(ValueError):
+        script_battery(PARAMS3, -1, seed=1)
+
+
 def test_battery_has_sensitive_scripts_and_mixes_oracles():
     scripts = script_battery(PARAMS3, 20, seed=1)
-    assert len(scripts) >= 20
+    assert len(scripts) == 20
     oracles = set()
     for script in scripts:
         for step in script:

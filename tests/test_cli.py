@@ -243,3 +243,33 @@ def test_verify_refuses_malformed_proof(cnf_file, tmp_path):
     assert code == 2
     assert recs[-1]["record"] == "error"
     assert "truncated" in recs[-1]["message"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_trial(cnf_file, tmp_path, trials):
+    out = str(tmp_path / "p.bin")
+    run_cli("prove", "--cnf", cnf_file, "--count", "3", "--seed", "7", "--out", out)
+    code, recs = run_cli(
+        "verify", "--cnf", cnf_file, "--count", "3", "--proof", out, "--trials", trials
+    )
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "trials" in recs[-1]["message"]
+
+
+@pytest.mark.parametrize("battery, scripts", [("1", 1), ("3", 3), ("5", 5)])
+def test_audit_zk_battery_runs_exactly_count_scripts(battery, scripts):
+    code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", battery)
+    assert code == 0
+    assert sum(r["record"] == "audit-script" for r in recs) == scripts
+    assert recs[-1]["record"] == "audit-zk" and recs[-1]["scripts"] == scripts
+
+
+def test_audit_zk_refuses_an_empty_or_negative_battery():
+    code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", "0")
+    assert code == 2
+    assert recs == [{"record": "audit-zk", "error": "no scripts given"}]
+    code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", "-2")
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "nonnegative" in recs[-1]["message"]

@@ -16,8 +16,10 @@ from zkpcp.oracles import antisym_basis
 from zkpcp.pcp import (
     CnfInstance,
     PcpParams,
+    ProofOracle,
     SimulatorSession,
     SumcheckParams,
+    _grid_eval,
     arithmetize,
     deserialize_proof,
     parse_dimacs,
@@ -35,6 +37,7 @@ from zkpcp.poly import (
     univariate_from_roots,
     zero_code_poly_basis,
 )
+from zkpcp.rm import CodeView, rm_generator
 
 
 def xy_poly(p):
@@ -327,6 +330,93 @@ def test_proof_bytes_match_golden():
     assert (bundle.params.p, bundle.params.m, bundle.params.d) == (101, 3, 3)
     blob = serialize_proof(bundle.prove(random.Random(0)))
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHARP_SAT_SHA256
+
+
+@pytest.mark.parametrize(
+    "p, shape",
+    [
+        (101, (4, 4, 4)),  # W1's tables, float32
+        (2039, (4, 3)),  # 4 * 2039^2 < 2^24: the last float32 case at k = 4
+        (2053, (4, 3)),  # 4 * 2053^2 > 2^24: float64
+        (131071, (9,)),  # the largest prime below MAX_MODULUS, float64
+    ],
+)
+def test_grid_eval_matches_int64_generator(p, shape):
+    assert p <= MAX_MODULUS
+    rng = np.random.default_rng(p)
+    m = len(shape)
+    # all-(p-1) coefficients push the partial sums towards their bound
+    for coeffs in (rng.integers(0, p, shape), np.full(shape, p - 1)):
+        table = _grid_eval(MultiPoly(p, coeffs), p)
+        assert table.dtype == np.int64 and table.flags.c_contiguous
+        assert table.shape == (p,) * m
+        pts = {(p - 1,) * m, (0,) * m}
+        if p**m <= 1 << 18:
+            pts.update(itertools.product(range(p), repeat=m))
+        else:
+            pts.update(tuple(int(c) for c in pt) for pt in rng.integers(0, p, (4096, m)))
+        pts = sorted(pts)
+        view = CodeView(Field(p), m, tuple(s - 1 for s in shape))
+        want = rm_generator(view, pts) @ coeffs.reshape(-1) % p
+        assert [int(table[pt]) for pt in pts] == want.tolist()
+
+
+def test_grid_eval_refuses_past_the_float64_bound():
+    p = 131071
+    k = -(-(2**53) // (p * p))  # the least axis length with k * p^2 >= 2^53
+    assert (k - 1) * p * p < 2**53 <= k * p * p
+    with pytest.raises(ValueError):
+        _grid_eval(MultiPoly(p, np.ones(k, dtype=np.int64)), p)
+
+
+# sha256 of repr(result.queries) for three verifier seeds on the W1 proof
+# below, recorded before the verifier read its degree-test lines in one pass.
+GOLDEN_VERIFY_QUERIES_SHA256 = {
+    1: "d3e5e53f9536811808583baad010a36270ce07fc1557715ba9c5e8eed07fb6c0",
+    2: "899adfdea5deec1011f9d6ca6e8f3026f8bc64251b8e59cb63391a0e28ebfe1a",
+    3: "4bb1bedced4e8de9ee6e279b3b1b03424ec2650235f9a60aa765f65959a302e5",
+}
+
+
+def _w1_bundle_and_proof():
+    cnf = CnfInstance(3, ((1, -2), (2, 3), (-1, -3)))
+    bundle = pcp_for_sharp_sat(cnf, cnf.model_count(), p=101)
+    return bundle, bundle.prove(random.Random(0))
+
+
+def test_verifier_transcript_matches_golden():
+    bundle, proof = _w1_bundle_and_proof()
+    for seed, digest in GOLDEN_VERIFY_QUERIES_SHA256.items():
+        result = bundle.verify(proof, random.Random(seed))
+        assert result.accepted and len(result.queries) == 5674
+        assert hashlib.sha256(repr(result.queries).encode()).hexdigest() == digest
+
+
+class CountingOracle(ProofOracle):
+    """Counts every read that goes through the oracle's read methods."""
+
+    reads = 0
+
+    def sigma_at(self, pt):
+        self.reads += 1
+        return super().sigma_at(pt)
+
+    def q_at(self, pt):
+        self.reads += 1
+        return super().q_at(pt)
+
+    def t_at(self, i, pt):
+        self.reads += 1
+        return super().t_at(i, pt)
+
+
+def test_verifier_reads_each_logged_entry_once():
+    bundle, proof = _w1_bundle_and_proof()
+    counting = CountingOracle(proof.params, proof.sigma, proof.q, proof.t)
+    result = bundle.verify(counting, random.Random(1))
+    assert result.accepted
+    assert counting.reads == len(result.queries) == 5674
+    assert result.queries == bundle.verify(proof, random.Random(1)).queries
 
 
 def test_serialize_ignores_table_layout():
