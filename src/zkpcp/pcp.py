@@ -610,33 +610,58 @@ def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
     return row % p, (-view.f_eval(pt)) % p
 
 
-def serialize_proof(proof: ProofOracle) -> bytes:
+def serialize_proof(proof: ProofOracle) -> memoryview:
     """MAGIC, the u64 header, then every table as little-endian 64-bit words.
 
-    Each table is copied once, straight into the result. Entries are written
-    as two's complement words; the decoder refuses any outside [0, p).
+    The image is written into one numpy buffer and returned as a read-only
+    memoryview (format ``B``) of exactly the wire bytes; call ``bytes()`` on it
+    for a ``bytes``. One allocation keeps the page faults of a large proof
+    down (numpy asks for huge pages), and starting the image 4 bytes into the
+    buffer puts every word after MAGIC on an 8-byte boundary. Each table is
+    copied once. Entries are written as two's complement words; the decoder
+    refuses any outside [0, p).
     """
     params = proof.params
     head = [params.p, params.m, params.d, len(params.h), *params.h,
             len(params.nodes), *params.nodes]
     tables = [*proof.sigma, proof.q, *proof.t]
-    return b"".join(
-        [MAGIC, struct.pack(f"<{len(head)}Q", *head)]
-        + [np.ascontiguousarray(t, dtype="<i8").reshape(-1) for t in tables]
-    )
+    buf = np.empty(8 * (1 + len(head) + sum(t.size for t in tables)), np.uint8)
+    struct.pack_into(f"<4s{len(head)}Q", buf, 4, MAGIC, *head)
+    words = buf[8 + 8 * len(head) :].view("<i8")
+    for t in tables:
+        words[: t.size].reshape(t.shape)[...] = t
+        words = words[t.size :]
+    buf.flags.writeable = False
+    return memoryview(buf)[4:]
 
 
-def deserialize_proof(blob: bytes) -> ProofOracle:
+def deserialize_proof(blob) -> ProofOracle:
     """Parse a serialised proof; any malformed input raises ValueError.
 
-    The header is checked with Python ints before anything is allocated or
-    the modulus is tested for primality: the tables it implies must fit the
-    dense size cap and fill the rest of the blob exactly. Every table entry
-    must then be a field element. The tables are read-only int64 views of
-    the blob, not copies; a mutable buffer is copied to bytes first, so the
-    checked entries cannot change under the views.
+    ``blob`` is any bytes-like object; anything else raises TypeError before
+    anything is allocated. The header is checked with Python ints before any
+    table is read or the modulus is tested for primality: the tables it
+    implies must fit the dense size cap and fill the rest of the blob
+    exactly. Every table entry must then be a field element.
+
+    The tables are read-only int64 views, decoded in place only from a buffer
+    that cannot change: a ``bytes``, or a read-only view of a read-only numpy
+    array that owns its memory, which is what ``serialize_proof`` returns.
+    Every other buffer is copied first, so the checked entries cannot change
+    under the tables.
     """
-    blob = bytes(blob)
+    blob = memoryview(blob)
+    owner = blob.obj
+    fixed = blob.c_contiguous and (
+        type(owner) is bytes
+        or (
+            blob.readonly
+            and type(owner) is np.ndarray
+            and owner.flags.owndata
+            and not owner.flags.writeable
+        )
+    )
+    blob = (blob if fixed else memoryview(bytes(blob))).cast("B")
     if blob[:4] != MAGIC:
         raise ValueError("bad proof magic")
     off = 4

@@ -238,7 +238,7 @@ def test_serialization_roundtrip_and_errors():
     with pytest.raises(ValueError):
         deserialize_proof(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
-        deserialize_proof(blob + b"\x00" * 8)
+        deserialize_proof(bytes(blob) + b"\x00" * 8)
 
 
 def test_deserialize_rejects_entries_outside_the_field():
@@ -276,10 +276,14 @@ def test_deserialize_checks_header_before_allocating():
     for blob in (b"", b"ZKP1", b"ZKP1\x00\x00"):
         with pytest.raises(ValueError):
             deserialize_proof(blob)
+    # a non-buffer is refused before any copy: bytes(12) would be 12 zeros
+    for blob in (12, "ZKP1"):
+        with pytest.raises(TypeError):
+            deserialize_proof(blob)
     # a reordered summation set names the same parameters but would not
     # serialise back to the same bytes
     blob = serialize_proof(prove(xy_poly(5), PcpParams(5, 2, 3, (0, 1)), random.Random(1)))
-    swapped = blob[:36] + blob[44:52] + blob[36:44] + blob[52:]
+    swapped = bytes(blob[:36]) + blob[44:52] + blob[36:44] + blob[52:]
     with pytest.raises(ValueError, match="strictly increasing"):
         deserialize_proof(swapped)
 
@@ -449,11 +453,55 @@ def test_deserialized_tables_are_read_only_views():
         with pytest.raises(ValueError):
             got[(0,) * got.ndim] = 1
     assert serialize_proof(back) == blob
-    # a mutable buffer is copied first: writing to it leaves the tables alone
-    shared = bytearray(blob)
-    back = deserialize_proof(shared)
-    shared[-8:] = (1 << 63).to_bytes(8, "little")
-    assert not back.t[-1].flags.writeable and back.t[-1][-1, -1] == proof.t[-1][-1, -1]
+
+
+def test_serialized_proof_is_a_read_only_aligned_image():
+    params = PcpParams(11, 2, 3, (0, 1))
+    proof = prove(xy_poly(11), params, random.Random(1))
+    blob = serialize_proof(proof)
+    words = 11 + sum(t.size for t in [*proof.sigma, proof.q, *proof.t])
+    assert isinstance(blob, memoryview) and blob.format == "B"
+    assert blob.readonly and len(blob) == 4 + 8 * words
+    with pytest.raises(TypeError):
+        blob[0] = 0
+    # words after MAGIC sit on 8-byte boundaries
+    back = deserialize_proof(blob)
+    assert all(t.flags.aligned for t in [*back.sigma, back.q, *back.t])
+    # a buffer that cannot change is decoded in place
+    for fixed in (blob, bytes(blob)):
+        back = deserialize_proof(fixed)
+        assert np.shares_memory(back.q, np.frombuffer(fixed, np.uint8))
+
+
+def test_deserialize_copies_buffers_that_can_change():
+    params = PcpParams(11, 2, 3, (0, 1))
+    proof = prove(xy_poly(11), params, random.Random(1))
+    wire = bytes(serialize_proof(proof))
+    # (what the decoder is given, a writable handle on the same memory)
+    cases = []
+    for make in (bytearray, lambda w: np.frombuffer(w, np.uint8).copy()):
+        source = make(wire)
+        cases.append((source, source))
+        source = make(wire)
+        cases.append((memoryview(source).toreadonly(), source))
+    source = np.frombuffer(wire, np.uint8).copy()
+    alias = source[:]
+    alias.flags.writeable = False
+    cases.append((alias, source))
+    # a writable view taken before its array was frozen
+    source = np.frombuffer(wire, np.uint8).copy()
+    view = memoryview(source)
+    source.flags.writeable = False
+    cases.append((view, view))
+    for given, handle in cases:
+        back = deserialize_proof(given)
+        np.frombuffer(handle, np.uint8)[-8:] = 0xFF
+        assert not np.shares_memory(back.t[-1], np.frombuffer(handle, np.uint8))
+        assert not back.t[-1].flags.writeable
+        assert back.t[-1][-1, -1] == proof.t[-1][-1, -1]
+    # a strided view of bytes is decoded in its logical byte order
+    spread = memoryview(np.repeat(np.frombuffer(wire, np.uint8), 2).tobytes())[::2]
+    assert serialize_proof(deserialize_proof(spread)) == wire
 
 
 def test_simulator_examples():
