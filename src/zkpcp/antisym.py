@@ -14,7 +14,7 @@ import numpy as np
 from .domains import BOT, Point, ProductSet, dedup_points, sort_points
 from .field import Field
 from .linalg import project_constraints
-from .rm_locator import ColKey, LocatorOutput
+from .rm_locator import LocatorOutput
 
 
 def require_reversal_symmetric(a: ProductSet):
@@ -224,39 +224,32 @@ def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> LocatorOu
         r_list.extend(covers[h])
     r_list = dedup_points(r_list)
 
-    g_list = list(fam.g)
-    cols: list[ColKey] = (
-        [("m", q) for q in r_list]
-        + [("g", q) for q in g_list]
-        + [("c", q) for q in queries]
-    )
-    idx = {key: j for j, key in enumerate(cols)}
+    # columns [R | G | I]; the prefix-free pieces G are projected out
+    nr, ng = len(r_list), len(fam.g)
+    mcol = {q: j for j, q in enumerate(r_list)}
+    gcol = {q: nr + j for j, q in enumerate(fam.g)}
+    nh = len(families.sets)
+    y = np.zeros((nh + len(queries), nr + ng + len(queries)), dtype=np.int64)
     small_set = set(small)
-    rows: list[np.ndarray] = []
-    for h in families.sets:
-        row = np.zeros(len(cols), dtype=np.int64)
+    for row, h in zip(y, families.sets):
         if h in small_set:
             for q in covers[h]:
-                row[idx[("m", q)]] = (row[idx[("m", q)]] + 1) % p
+                row[mcol[q]] += 1
         else:
-            row[idx[("m", BOT)]] = 1
+            row[mcol[BOT]] = 1
             for q in covers[h]:
-                row[idx[("m", q)]] = (row[idx[("m", q)]] - 1) % p
+                row[mcol[q]] -= 1
         for q in h:
-            row[idx[("g", q)]] = (row[idx[("g", q)]] - 1) % p
-        rows.append(row)
-    for q in queries:
-        row = np.zeros(len(cols), dtype=np.int64)
+            row[gcol[q]] -= 1
+    for k, q in enumerate(queries):
         for piece in fam.lam[q]:
-            row[idx[("g", piece)]] = (row[idx[("g", piece)]] + 1) % p
-        row[idx[("c", q)]] = (row[idx[("c", q)]] - 1) % p
-        rows.append(row)
+            y[nh + k, gcol[piece]] += 1
+        y[nh + k, nr + ng + k] = -1
 
-    y = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
-    keep = [j for j, (kind, _) in enumerate(cols) if kind != "g"]
+    keep = list(range(nr)) + list(range(nr + ng, y.shape[1]))
     return LocatorOutput(
         r=tuple(r_list),
-        cols=tuple(cols[j] for j in keep),
+        queries=tuple(queries),
         z=project_constraints(y, keep, p),
         meta={"prefix_free": fam, "families": families},
     )

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .audit import audit_script, parse_script, script_battery
-from .domains import hypercube
+from .domains import hypercube, require_in_field
 from .field import Field
 from .pcp import (
     SimulatorSession,
@@ -40,11 +40,12 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def parse_points(text: str) -> list[tuple[int, ...]]:
+def parse_points(text: str, p: int) -> list[tuple[int, ...]]:
+    """A JSON list of points over GF(p); every coordinate must lie in [0, p)."""
     data = json.loads(text)
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(pt, list) for pt in data):
         raise ValueError("points must be a JSON list of coordinate lists")
-    return [tuple(int(c) for c in pt) for pt in data]
+    return [require_in_field(tuple(int(c) for c in pt), p) for pt in data]
 
 
 def parse_degrees(text: str, m: int) -> tuple[int, ...]:
@@ -81,11 +82,7 @@ def random_instance(params: SumcheckParams, seed: int) -> tuple[MultiPoly, int]:
 def cmd_prove(args) -> int:
     bundle = load_bundle(args)
     rng = trial_rng(args.seed, 0)
-    proof = (
-        prove_shifted(bundle, rng, table_cap=args.cap)
-        if args.dishonest_shift
-        else bundle.prove(rng, table_cap=args.cap)
-    )
+    proof = prove_shifted(bundle, rng) if args.dishonest_shift else bundle.prove(rng)
     blob = serialize_proof(proof)
     Path(args.out).write_bytes(blob)
     emit(
@@ -251,7 +248,7 @@ def cmd_audit_zk(args) -> int:
 
 def cmd_locate(args) -> int:
     fld = Field(args.field)
-    pts = parse_points(args.points)
+    pts = parse_points(args.points, fld.p)
     h = parse_h(args.h_set)
     dv = parse_degrees(args.degree, args.m)
     a = hypercube(h, args.m)
@@ -277,7 +274,7 @@ def cmd_locate(args) -> int:
 
 def cmd_detect(args) -> int:
     fld = Field(args.field)
-    pts = parse_points(args.points)
+    pts = parse_points(args.points, fld.p)
     dv = parse_degrees(args.degree, args.m)
     view = CodeView(fld, args.m, dv)
     cb = cd_rm(view, pts)
@@ -301,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=str, default="3", help="degree bound (or comma vector)")
         p.add_argument("--h-set", type=str, default="0,1", help="summation set, comma separated")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=1 << 24, help="size cap")
 
     p = sub.add_parser("prove", help="prove a #SAT claim and write the proof")
     common(p)
@@ -337,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", action="append", help="script file (repeatable)")
     p.add_argument("--battery", type=int, default=0, help="also run N generated scripts")
+    p.add_argument(
+        "--cap", type=int, default=1 << 24, help="largest coefficient dimension to audit"
+    )
     p.add_argument(
         "--negative-control",
         action="store_true",

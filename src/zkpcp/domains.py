@@ -35,6 +35,13 @@ def dedup_points(pts: Iterable[Point]) -> list[Point]:
     return out
 
 
+def require_in_field(pt: Point, p: int) -> Point:
+    """The point itself; ValueError if a coordinate lies outside [0, p)."""
+    if any(not 0 <= c < p for c in pt):
+        raise ValueError(f"point {list(pt)} has a coordinate outside [0, {p})")
+    return pt
+
+
 def rev_point(pt: Point) -> Point:
     return tuple(reversed(pt))
 

@@ -15,11 +15,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .antisym import antisym_locate
-from .domains import Point, ProductSet, hypercube
+from .domains import Point, ProductSet, dedup_points, hypercube
 from .field import Field
 from .linalg import project_constraints, sample_affine
 from .rm import CodeView
-from .rm_locator import ColKey, LocatorOutput
+from .rm_locator import LocatorOutput, copy_rows
 from .sigma_rm import sigma_rm_locate
 
 
@@ -46,22 +46,19 @@ def constraint_rows_for(
 ) -> tuple[np.ndarray, np.ndarray, tuple[Point, ...]]:
     """Locator rows for pts with message values substituted in.
 
-    Returns (A, b, message positions read): answers x at pts, in the given
-    order, are attainable exactly when A x = b mod p. Rows that vanish along
-    with their rhs are dropped.
+    Returns (A, b, message positions read): answers x at pts, which must be
+    distinct, in the given order, are attainable exactly when A x = b mod p.
+    Rows that vanish along with their rhs are dropped.
     """
     if spec.message_oracle is None:
         raise ValueError("spec has no message oracle bound")
     loc = spec.locator(pts)
-    p = spec.p
-    msg = {q: spec.message_oracle(q) % p for q in loc.r}
-    col = {q: j for j, q in enumerate(pts)}
-    m_cols = [j for j, (kind, _) in enumerate(loc.cols) if kind == "m"]
-    c_cols = [j for j, (kind, _) in enumerate(loc.cols) if kind != "m"]
-    m_vals = np.array([msg[loc.cols[j][1]] for j in m_cols], dtype=np.int64)
-    b = (-(loc.z[:, m_cols] @ m_vals)) % p
-    a = np.zeros((len(loc.z), len(pts)), dtype=np.int64)
-    a[:, [col[loc.cols[j][1]] for j in c_cols]] = loc.z[:, c_cols] % p
+    if loc.queries != tuple(pts):
+        raise ValueError("query points must be distinct")
+    p, nr = spec.p, len(loc.r)
+    m_vals = np.array([spec.message_oracle(q) % p for q in loc.r], dtype=np.int64)
+    b = (-(loc.z[:, :nr] @ m_vals)) % p
+    a = loc.z[:, nr:] % p
     keep = a.any(axis=1) | (b != 0)
     return a[keep], b[keep], loc.r
 
@@ -114,18 +111,8 @@ def identity_spec(fld: Field, name: str = "identity") -> EncodingSpec:
     same message position."""
 
     def locate(pts: Sequence[Point]) -> LocatorOutput:
-        from .domains import dedup_points
-
-        queries = dedup_points(pts)
-        cols: list[ColKey] = [("m", q) for q in queries] + [
-            ("c", q) for q in queries
-        ]
-        n = len(queries)
-        z = np.zeros((n, 2 * n), dtype=np.int64)
-        for i in range(n):
-            z[i, i] = 1
-            z[i, n + i] = (-1) % fld.p
-        return LocatorOutput(r=tuple(queries), cols=tuple(cols), z=z)
+        queries = tuple(dedup_points(pts))
+        return LocatorOutput(r=queries, queries=queries, z=copy_rows(queries, queries, fld.p))
 
     return EncodingSpec(name, fld, locate)
 
@@ -133,46 +120,30 @@ def identity_spec(fld: Field, name: str = "identity") -> EncodingSpec:
 def compose(inner: EncodingSpec, outer: EncodingSpec, name: str | None = None) -> EncodingSpec:
     """Locator composition: locate the outer queries, then locate the outer
     message positions against the inner encoding, stack, and eliminate the
-    intermediate layer."""
+    intermediate layer.
+
+    Over the columns (inner R | middle layer | outer queries) the stacked
+    rows are the block matrix [[0, Zo_R, Zo_I], [Zi_R, Zi_I, 0]]. This
+    relies on every locator returning its queries deduplicated in input
+    order, so the inner queries are the outer R column for column.
+    """
     if inner.p != outer.p:
         raise ValueError("field mismatch between encodings")
     p = inner.p
 
     def locate(pts: Sequence[Point]) -> LocatorOutput:
         out_loc = outer.locator(pts)
-        mid = list(out_loc.r)
-        in_loc = inner.locator(mid)
-        cols: list[tuple[str, Point]] = (
-            [("m", q) for q in in_loc.r]
-            + [("mid", q) for q in mid]
-            + [("c", q) for q in out_loc.query_points]
-        )
-        idx = {key: j for j, key in enumerate(cols)}
-        rows = []
-        for zrow in out_loc.z:
-            row = np.zeros(len(cols), dtype=np.int64)
-            for key, c in zip(out_loc.cols, zrow):
-                if c:
-                    kind, q = key
-                    row[idx[("mid", q) if kind == "m" else ("c", q)]] = (
-                        row[idx[("mid", q) if kind == "m" else ("c", q)]] + c
-                    ) % p
-            rows.append(row)
-        for zrow in in_loc.z:
-            row = np.zeros(len(cols), dtype=np.int64)
-            for key, c in zip(in_loc.cols, zrow):
-                if c:
-                    kind, q = key
-                    row[idx[("m", q) if kind == "m" else ("mid", q)]] = (
-                        row[idx[("m", q) if kind == "m" else ("mid", q)]] + c
-                    ) % p
-            rows.append(row)
-        z_star = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
-        keep = [j for j, (kind, _) in enumerate(cols) if kind != "mid"]
+        in_loc = inner.locator(out_loc.r)
+        if in_loc.queries != out_loc.r:
+            raise ValueError("inner locator must keep the outer R in order")
+        ni, nm, no = len(in_loc.r), len(out_loc.r), len(out_loc.z)
+        z = np.zeros((no + len(in_loc.z), ni + out_loc.z.shape[1]), dtype=np.int64)
+        z[:no, ni:] = out_loc.z
+        z[no:, : ni + nm] = in_loc.z
         return LocatorOutput(
-            r=tuple(in_loc.r),
-            cols=tuple(cols[j] for j in keep),
-            z=project_constraints(z_star, keep, p),
+            r=in_loc.r,
+            queries=out_loc.queries,
+            z=project_constraints(z, list(range(ni)) + list(range(ni + nm, z.shape[1])), p),
         )
 
     return EncodingSpec(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # The largest int64 inner product the code forms runs over a whole view or
-# proof: at most (m + 3) * DEFAULT_TABLE_CAP < 2**29 entries, since the dense
+# proof: at most (m + 3) * pcp.TABLE_CAP < 2**29 entries, since the dense
 # tables hold p**m <= 2**24 entries each and so m <= 24. Each term is a product
 # of two reduced field elements, so 2**29 * (p - 1)**2 < 2**63 holds for every
 # p <= 2**17. Larger moduli would overflow silently and are refused.

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import Point, hypercube, rev_point
+from .domains import Point, hypercube, require_in_field, rev_point
 from .encoding import EncodingSpec, constraint_rows_for, enc_pcp_spec, sample_new
 from .field import MAX_MODULUS, Field, is_prime, next_prime
 from .poly import (
@@ -32,7 +32,9 @@ from .poly import (
 from .rm import CodeView, cd_rm
 
 MAGIC = b"ZKP1"
-DEFAULT_TABLE_CAP = 1 << 24
+# every dense proof table holds p**m <= TABLE_CAP entries; the decoder and
+# field.MAX_MODULUS rely on this bound
+TABLE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -249,19 +251,14 @@ def _sum_tables(table: np.ndarray, params: SumcheckParams) -> list[np.ndarray]:
     return layers
 
 
-def prove(
-    f_poly: MultiPoly,
-    params: SumcheckParams,
-    rng,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> ProofOracle:
+def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
     """Sample the mask and emit the full proof tables.
 
     Q is uniform of individual degree d; each T_i is uniform with the degree
     in axis i reduced by |H|; the mask is Q - Q(rev) + sum Z_H(X_i) T_i.
     """
     p, m, d = params.p, params.m, params.d
-    if p**m > table_cap:
+    if p**m > TABLE_CAP:
         raise ValueError("dense proof tables exceed the size cap")
     if f_poly.m != m:
         raise ValueError(f"instance polynomial has arity {f_poly.m}, expected {m}")
@@ -450,9 +447,7 @@ class ViewState:
             raise ValueError(f"sigma is indexed by points of arity at most {m}")
         if oracle != "sigma" and len(pt) != m:
             raise ValueError("mask tables are indexed by full-arity points")
-        if any(not 0 <= c < p for c in pt):
-            raise ValueError(f"point {list(pt)} has a coordinate outside [0, {p})")
-        return oracle, pt
+        return oracle, require_in_field(pt, p)
 
     def points(self, oracle: str) -> list[Point]:
         return [pt for o, pt in self.coords if o == oracle]
@@ -680,7 +675,7 @@ def deserialize_proof(blob) -> ProofOracle:
     nodes = take(dn)
     if dn != d + 1:
         raise ValueError("need d + 1 distinct reading nodes")
-    if m > 64 or p ** max(m, 1) > DEFAULT_TABLE_CAP:
+    if m > 64 or p ** max(m, 1) > TABLE_CAP:
         raise ValueError("dense proof tables exceed the size cap")
     shapes = [(p,) * i for i in range(m + 1)] + [(p,) * m] * (m + 1)
     sizes = [p ** len(shape) for shape in shapes]
@@ -713,8 +708,8 @@ class SharpSatPcp:
     def f_eval(self, pt: Point) -> int:
         return self.poly.eval(pt)
 
-    def prove(self, rng, table_cap: int = DEFAULT_TABLE_CAP) -> ProofOracle:
-        return prove(self.poly, self.params, rng, table_cap)
+    def prove(self, rng) -> ProofOracle:
+        return prove(self.poly, self.params, rng)
 
     def verify(self, proof: ProofOracle, rng) -> VerifyResult:
         return verify(self.f_eval, self.params, proof, rng, gamma=self.gamma)
@@ -749,7 +744,7 @@ def pcp_for_sharp_sat(
     return SharpSatPcp(cnf, claimed_count, params, poly)
 
 
-def prove_shifted(bundle: SharpSatPcp, rng, table_cap: int = DEFAULT_TABLE_CAP) -> ProofOracle:
+def prove_shifted(bundle: SharpSatPcp, rng) -> ProofOracle:
     """Honest-structure cheating prover for a wrong claimed count.
 
     Proves F + (claim - truth) * L where L is the product of the Lagrange
@@ -768,4 +763,4 @@ def prove_shifted(bundle: SharpSatPcp, rng, table_cap: int = DEFAULT_TABLE_CAP) 
         shape[i] = ell.size
         shift = shift.mul(MultiPoly(p, ell.reshape(shape)))
     forged = bundle.poly.add(shift.scale(delta))
-    return prove(forged, params, rng, table_cap)
+    return prove(forged, params, rng)

@@ -54,10 +54,6 @@ class ConstraintBasis:
     domain: tuple[Point, ...]
     z: np.ndarray
 
-    @property
-    def num_constraints(self) -> int:
-        return self.z.shape[0]
-
     def is_empty(self) -> bool:
         return self.z.shape[0] == 0
 

@@ -2,10 +2,10 @@
 
 A locator answers: which message positions R does a query set I depend on,
 and which linear relations tie the message values at R to attainable query
-answers? Output columns are tagged ("m", point) for message positions and
-("c", point) for query positions; a point appearing on both sides occupies
-two columns related by an explicit copy row, which is how the systematic
-positions of the encoding are expressed.
+answers? Every locator lays its columns out the same way: the message
+positions R first, then the queries I, each in order. A point on both sides
+occupies two columns related by an explicit copy row, which is how the
+systematic positions of the encoding are expressed.
 """
 from __future__ import annotations
 
@@ -15,34 +15,35 @@ from typing import Sequence
 import numpy as np
 
 from .domains import Point, ProductSet, dedup_points, sort_points
-from .rm import CodeView, ConstraintBasis, cd_rm, cd_zero_rm
+from .rm import CodeView, cd_rm, cd_zero_rm
 
 ColKey = tuple[str, Point]
 
 
 @dataclass(frozen=True)
 class LocatorOutput:
-    """(R, Z) with Z over the tagged columns ("m", r in R) + ("c", x in I).
+    """(R, I, Z) with Z = [Z_R | Z_I]: the first ``len(r)`` columns are R and
+    the rest are the queries I, both in order.
 
-    (message|_R, beta) lies in ker(Z) exactly when beta is an attainable
-    restriction of the encoding to I for that message.
+    Every locator returns its queries deduplicated in input order, so I is
+    ``dedup_points`` of the points it was given. (message|_R, beta) lies in
+    ker(Z) exactly when beta is an attainable restriction of the encoding to
+    I for that message.
     """
 
     r: tuple[Point, ...]
-    cols: tuple[ColKey, ...]
+    queries: tuple[Point, ...]
     z: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
-    def query_points(self) -> tuple[Point, ...]:
-        return tuple(pt for kind, pt in self.cols if kind == "c")
+    def cols(self) -> tuple[ColKey, ...]:
+        """The columns tagged ("m", r) for r in R, then ("c", x) for x in I."""
+        return tuple([("m", q) for q in self.r] + [("c", q) for q in self.queries])
 
     def kernel_contains(self, msg: dict[Point, int], beta: dict[Point, int], p: int) -> bool:
         v = np.array(
-            [
-                (msg[pt] if kind == "m" else beta[pt]) % p
-                for kind, pt in self.cols
-            ],
+            [msg[q] % p for q in self.r] + [beta[q] % p for q in self.queries],
             dtype=np.int64,
         )
         if self.z.shape[0] == 0:
@@ -50,45 +51,18 @@ class LocatorOutput:
         return not np.any((self.z @ v) % p)
 
 
-def build_tagged_rows(
-    basis: ConstraintBasis,
-    msg_points: Sequence[Point],
-    query_points: Sequence[Point],
-    p: int,
-) -> tuple[list[ColKey], np.ndarray]:
-    """Lift a set-level constraint basis to tagged columns with copy rows.
+def copy_rows(r: Sequence[Point], queries: Sequence[Point], p: int) -> np.ndarray:
+    """Message copy minus query copy, over the columns [R | I].
 
-    Each detector row gets its coefficient at x placed on the ("c", x) column
-    when x is queried, else on ("m", x); points present on both sides get an
-    extra row equating the two copies (the multiset constraint on repeated
-    coordinates).
+    One row per point of R that is also queried, in R's order: 1 on its
+    message column, p - 1 on its query column.
     """
-    msg_points = list(msg_points)
-    qset = set(query_points)
-    cols: list[ColKey] = [("m", pt) for pt in msg_points] + [
-        ("c", pt) for pt in query_points
-    ]
-    idx = {key: i for i, key in enumerate(cols)}
-    rows = []
-    for row in basis.z:
-        out = np.zeros(len(cols), dtype=np.int64)
-        for pt, c in zip(basis.domain, row):
-            if c:
-                key = ("c", pt) if pt in qset else ("m", pt)
-                out[idx[key]] = c % p
-        rows.append(out)
-    for pt in msg_points:
-        if pt in qset:
-            out = np.zeros(len(cols), dtype=np.int64)
-            out[idx[("m", pt)]] = 1
-            out[idx[("c", pt)]] = (-1) % p
-            rows.append(out)
-    z = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, len(cols)), dtype=np.int64)
-    )
-    return cols, z
+    qidx = {q: j for j, q in enumerate(queries)}
+    both = [(i, len(r) + qidx[q]) for i, q in enumerate(r) if q in qidx]
+    z = np.zeros((len(both), len(r) + len(queries)), dtype=np.int64)
+    for row, (i, j) in enumerate(both):
+        z[row, i], z[row, j] = 1, p - 1
+    return z
 
 
 def check_constraints(view: CodeView, pts: Sequence[Point], s: ProductSet) -> bool:
@@ -141,11 +115,10 @@ def systematic_locate(view: CodeView, pts: Sequence[Point]) -> LocatorOutput:
     reduced one included, so the search flags nothing, the points themselves
     are R and only their copy rows remain.
     """
-    eye = np.eye(len(pts), dtype=np.int64)
     return LocatorOutput(
         r=tuple(pts),
-        cols=tuple([("m", pt) for pt in pts] + [("c", pt) for pt in pts]),
-        z=np.hstack([eye, eye * (view.p - 1)]),
+        queries=tuple(pts),
+        z=copy_rows(pts, pts, view.p),
         meta={
             "interpolating_set": list(pts),
             "flagged_per_level": [0] * max(view.m, 1),
@@ -206,10 +179,18 @@ def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> Locator
 
     dom = sort_points(set(pts) | set(r_list))
     basis = cd_rm(view, dom)
-    cols, z = build_tagged_rows(basis, r_list, pts, view.p)
+    z = copy_rows(r_list, pts, view.p)
+    if len(basis.z):
+        # each detector coefficient at x sits on x's query column when x is
+        # queried, else on its message column; the copy rows follow
+        col = {q: j for j, q in enumerate(r_list)}
+        col.update((q, len(r_list) + j) for j, q in enumerate(pts))
+        lifted = np.zeros((len(basis.z), z.shape[1]), dtype=np.int64)
+        lifted[:, [col[q] for q in basis.domain]] = basis.z
+        z = np.vstack([lifted, z])
     return LocatorOutput(
         r=tuple(r_list),
-        cols=tuple(cols),
+        queries=tuple(pts),
         z=z,
         meta={"interpolating_set": iprime, "flagged_per_level": flagged_per_level},
     )

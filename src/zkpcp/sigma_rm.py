@@ -8,7 +8,7 @@ decomposition and projects out the auxiliary closure points.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .linalg import project_constraints
 from .poly import eval_univariate, lagrange_univariate
 from .rm import CodeView
 from .rm_locator import (
-    ColKey,
     LocatorOutput,
+    copy_rows,
     require_locator_view,
     rm_locate,
     systematic_locate,
@@ -58,9 +58,10 @@ def flatten(
 
 
 def summation_rows(
-    pts: Sequence[Point], a: ProductSet, designate, idx: dict[ColKey, int], p: int
+    pts: Iterable[Point], a: ProductSet, col: dict[Point, int], width: int, p: int
 ) -> list[np.ndarray]:
-    """Parent-minus-children rows for every starred point of the set."""
+    """Parent-minus-children rows for every starred point of the set, over
+    ``width`` columns with each point's column given by ``col``."""
     s = set(pts)
     rows = []
     for pt in sort_points(s):
@@ -69,10 +70,10 @@ def summation_rows(
         kids = [pt + (v,) for v in a.factors[len(pt)]]
         if not any(k in s for k in kids):
             continue
-        row = np.zeros(len(idx), dtype=np.int64)
-        row[idx[designate(pt)]] = 1
+        row = np.zeros(width, dtype=np.int64)
+        row[col[pt]] = 1
         for k in kids:
-            row[idx[designate(k)]] = (row[idx[designate(k)]] - 1) % p
+            row[col[k]] = (row[col[k]] - 1) % p
         rows.append(row)
     return rows
 
@@ -105,7 +106,6 @@ def sigma_rm_locate(
         if len(pt) > view.m:
             raise ValueError(f"point {pt} longer than arity {view.m}")
     ihat = a_closure(queries, a)
-    iset = set(ihat)
     located = {} if located is None else located
 
     per_arity: list[LocatorOutput] = []
@@ -126,42 +126,30 @@ def sigma_rm_locate(
         r_all.extend(loc.r)
 
     rhat = a_closure(r_all, a)
-    rset = set(rhat)
+    nr = len(rhat)
+    # columns [R-hat | I-hat]; a point in both is designated by its query
+    # column everywhere but in its copy row
+    rcol = {q: j for j, q in enumerate(rhat)}
+    icol = {q: nr + j for j, q in enumerate(ihat)}
+    width = nr + len(ihat)
 
-    cols: list[ColKey] = [("m", q) for q in rhat] + [("c", q) for q in ihat]
-    idx = {key: j for j, key in enumerate(cols)}
-
-    def designate(q: Point) -> ColKey:
-        return ("c", q) if q in iset else ("m", q)
-
-    rows: list[np.ndarray] = []
+    lifted = []
     for loc in per_arity:
-        for zrow in loc.z:
-            row = np.zeros(len(cols), dtype=np.int64)
-            for key, c in zip(loc.cols, zrow):
-                if c:
-                    kind, q = key
-                    gkey = ("c", q) if kind == "c" else ("m", q)
-                    row[idx[gkey]] = (row[idx[gkey]] + c) % p
-            rows.append(row)
-    rows.extend(summation_rows(sorted(rset | iset, key=lambda q: (len(q), q)), a, designate, idx, p))
-    for q in rhat:
-        if q in iset:
-            row = np.zeros(len(cols), dtype=np.int64)
-            row[idx[("m", q)]] = 1
-            row[idx[("c", q)]] = (row[idx[("c", q)]] - 1) % p
-            rows.append(row)
+        block = np.zeros((len(loc.z), width), dtype=np.int64)
+        block[:, [rcol[q] for q in loc.r] + [icol[q] for q in loc.queries]] = loc.z
+        lifted.append(block)
+    col = {**rcol, **icol}
+    sums = summation_rows(set(rhat) | set(ihat), a, col, width, p)
+    z = np.vstack(lifted + sums + [copy_rows(rhat, ihat, p)])
 
-    z = np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
-    keep = [j for j, (kind, q) in enumerate(cols) if kind == "m" or q in set(queries)]
-    kept_cols = [cols[j] for j in keep]
-    ordered_cols = [c for c in kept_cols if c[0] == "m"] + [
-        ("c", q) for q in queries
-    ]
-    perm = [kept_cols.index(c) for c in ordered_cols]
+    # project in I-hat's order, then put the queries back in input order
+    qcol = [icol[q] for q in queries]
+    kept = sorted(qcol)
+    z = project_constraints(z, list(range(nr)) + kept, p)
+    pos = {c: nr + k for k, c in enumerate(kept)}
     return LocatorOutput(
         r=tuple(rhat),
-        cols=tuple(ordered_cols),
-        z=project_constraints(z, keep, p)[:, perm],
+        queries=tuple(queries),
+        z=z[:, list(range(nr)) + [pos[c] for c in qcol]],
         meta={"per_arity": per_arity, "ihat": ihat},
     )

@@ -273,3 +273,37 @@ def test_audit_zk_refuses_an_empty_or_negative_battery():
     assert code == 2
     assert [r["record"] for r in recs] == ["error"]
     assert "nonnegative" in recs[-1]["message"]
+
+
+# each point set names a coordinate outside [0, p); the parsed point would
+# reduce mod p onto another point while keeping its raw label
+OUT_OF_FIELD = {
+    "detect-above": ("detect", "--field", "5", "--points", "[[0,4],[0,9]]"),
+    "sigma-rm-above": ("locate", "--code", "sigma-rm", "--points", "[[7],[2]]"),
+    "rm-negative": ("locate", "--code", "rm", "--points", "[[-1,0]]"),
+    "antisym-above": ("locate", "--code", "antisym", "--field", "5", "--points", "[[5]]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_FIELD))
+def test_locate_and_detect_refuse_points_outside_the_field(case):
+    code, recs = run_cli(*OUT_OF_FIELD[case])
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "outside [0, 5)" in recs[-1]["message"]
+
+
+def test_locate_refuses_points_that_are_not_lists():
+    code, recs = run_cli("locate", "--code", "rm", "--points", "[5]")
+    assert code == 2
+    assert recs == [{"record": "error", "message": "points must be a JSON list of coordinate lists"}]
+
+
+def test_cap_is_an_audit_zk_option_only(cnf_file, tmp_path):
+    code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", "1", "--cap", "10")
+    assert code == 2
+    assert "exceeds cap 10" in recs[-1]["error"]
+    code, recs = run_cli(
+        "prove", "--cnf", cnf_file, "--count", "3", "--cap", "10", "--out", str(tmp_path / "x.bin")
+    )
+    assert code == 2 and recs == []
