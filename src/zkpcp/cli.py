@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import stat
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .audit import audit_script, parse_script, script_battery
 from .domains import hypercube, require_in_field
@@ -41,11 +45,15 @@ def trial_rng(seed: int, index: int) -> random.Random:
 
 
 def parse_points(text: str, p: int) -> list[tuple[int, ...]]:
-    """A JSON list of points over GF(p); every coordinate must lie in [0, p)."""
+    """A JSON list of points over GF(p); every coordinate must be a JSON
+    integer in [0, p). A float, bool or string is refused, not truncated."""
     data = json.loads(text)
     if not isinstance(data, list) or not all(isinstance(pt, list) for pt in data):
         raise ValueError("points must be a JSON list of coordinate lists")
-    return [require_in_field(tuple(int(c) for c in pt), p) for pt in data]
+    for pt in data:
+        if any(type(c) is not int for c in pt):
+            raise ValueError(f"point {json.dumps(pt)} has a coordinate that is not an integer")
+    return [require_in_field(tuple(pt), p) for pt in data]
 
 
 def parse_degrees(text: str, m: int) -> tuple[int, ...]:
@@ -59,6 +67,23 @@ def parse_degrees(text: str, m: int) -> tuple[int, ...]:
 
 def parse_h(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
+
+
+def read_proof_file(path) -> memoryview:
+    """The file's bytes as a read-only view 4 bytes into a frozen numpy
+    buffer, the layout serialize_proof returns: deserialize_proof decodes it
+    in place, with every word after MAGIC on an 8-byte boundary."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            # a pipe has no size up front: read it whole, as bytes
+            return memoryview(fh.read())
+        size = info.st_size
+        buf = np.empty(4 + size, np.uint8)
+        if fh.readinto(memoryview(buf)[4:]) != size or fh.read(1):
+            raise ValueError(f"{path} changed while it was read")
+    buf.flags.writeable = False
+    return memoryview(buf)[4:]
 
 
 def load_bundle(args):
@@ -104,7 +129,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     bundle = load_bundle(args)
-    proof = deserialize_proof(Path(args.proof).read_bytes())
+    proof = deserialize_proof(read_proof_file(args.proof))
     if proof.params != bundle.params:
         emit({"record": "verify", "error": "proof parameters do not match instance"})
         return 2
@@ -249,7 +274,7 @@ def cmd_audit_zk(args) -> int:
 def cmd_locate(args) -> int:
     fld = Field(args.field)
     pts = parse_points(args.points, fld.p)
-    h = parse_h(args.h_set)
+    h = require_in_field(parse_h(args.h_set), fld.p)
     dv = parse_degrees(args.degree, args.m)
     a = hypercube(h, args.m)
     if args.code == "rm":

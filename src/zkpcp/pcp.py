@@ -183,6 +183,8 @@ class ProofOracle:
     sigma: list[np.ndarray]
     q: np.ndarray
     t: list[np.ndarray]
+    # (buffer, params, tables) of the frozen image the tables are views of
+    _image: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def sigma_at(self, pt: Point) -> int:
         return int(self.sigma[len(pt)][pt]) if pt else int(self.sigma[0][()])
@@ -194,7 +196,66 @@ class ProofOracle:
         return int(self.t[i][pt])
 
 
-def _grid_eval(poly: MultiPoly, p: int) -> np.ndarray:
+def _table_shapes(p: int, m: int) -> list[tuple[int, ...]]:
+    """The table shapes in wire order: sigma_0..sigma_m, Q, T_0..T_{m-1}."""
+    return [(p,) * i for i in range(m + 1)] + [(p,) * m] * (m + 1)
+
+
+def _table_words(p: int, m: int) -> int:
+    return sum(math.prod(shape) for shape in _table_shapes(p, m))
+
+
+def _wire_head(params: PcpParams) -> list[int]:
+    return [params.p, params.m, params.d, len(params.h), *params.h,
+            len(params.nodes), *params.nodes]
+
+
+def _new_image(p: int, m: int, head=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One uint8 buffer for a whole proof, and writable int64 views of its
+    tables in wire order; the only place proof tables are allocated.
+
+    With a ``head``, the buffer is 4 spare bytes, MAGIC, the header as u64
+    words, then the tables, so ``buf[4:]`` is the wire image and every word
+    after MAGIC sits on an 8-byte boundary. Without one it holds the tables
+    alone. One allocation keeps the page faults of a large proof down (numpy
+    asks for huge pages).
+    """
+    lead = 0 if head is None else 1 + len(head)
+    buf = np.empty(8 * (lead + _table_words(p, m)), np.uint8)
+    if head is not None:
+        struct.pack_into(f"<4s{len(head)}Q", buf, 4, MAGIC, *head)
+    return buf, _split_tables(buf[8 * lead :].view("<i8"), p, m)
+
+
+def _split_tables(words: np.ndarray, p: int, m: int) -> list[np.ndarray]:
+    """The tables of a flat word array, as views in wire order."""
+    shapes = _table_shapes(p, m)
+    parts = np.split(words, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+def _proof_of(params: SumcheckParams, tables: list[np.ndarray], buf=None) -> ProofOracle:
+    """The proof over ``tables`` in wire order. Given the image ``buf`` they
+    were written into, the image and its views are frozen for good (a view
+    of a read-only buffer cannot be made writable again) and recorded, so
+    serialize_proof can hand the image back."""
+    m = params.m
+    proof = ProofOracle(params, tables[: m + 1], tables[m + 1], tables[m + 2 :])
+    if buf is not None:
+        buf.flags.writeable = False
+        for t in tables:
+            t.flags.writeable = False
+        proof._image = (buf, params, tuple(tables))
+    return proof
+
+
+def _grid_dtype(k: int, p: int):
+    if k * p * p >= 2**53:
+        raise ValueError("grid evaluation would exceed exact float64 range")
+    return np.float32 if k * p * p < 2**24 else np.float64
+
+
+def _grid_eval(poly: MultiPoly, p: int, out=None, scratch=None) -> np.ndarray:
     """Evaluation table over the full grid F^m: int64, C-contiguous.
 
     Axes are contracted last to first, so the last contraction (axis 0)
@@ -202,32 +263,44 @@ def _grid_eval(poly: MultiPoly, p: int) -> np.ndarray:
     float32 if k*p^2 < 2^24, else in float64 (k*p^2 < 2^53), and is exact:
     every partial sum is an integer below 2^24 (resp. 2^53), and the error of
     x/p is at most half an ulp of k*p < 1/p, so x - p*floor(x/p) is exact.
+
+    The table is written into ``out`` (shape (p,) * m) when given. A
+    ``scratch`` of shape (2, p**m) and the contraction dtype holds the
+    product and quotient of the last, full-size contraction, so a caller
+    evaluating several tables allocates them once.
     """
     c = poly.coeffs
-    k = max(c.shape, default=1)
-    if k * p * p >= 2**53:
-        raise ValueError("grid evaluation would exceed exact float64 range")
-    dtype = np.float32 if k * p * p < 2**24 else np.float64
+    dtype = _grid_dtype(max(c.shape, default=1), p)
+    if out is None:
+        out = np.empty((p,) * poly.m, np.int64)
     c = c.astype(dtype)
     for axis in reversed(range(poly.m)):
         v = power_table(p, c.shape[axis] - 1).astype(dtype)
         moved = np.moveaxis(c, axis, 0)
-        prod = v @ moved.reshape(moved.shape[0], -1)
-        quot = np.divide(prod, p)
+        flat = moved.reshape(moved.shape[0], -1)
+        n = p * flat.shape[1]
+        if axis == 0 and scratch is not None and scratch.dtype == dtype:
+            pair = scratch[:, :n]
+        else:
+            pair = np.empty((2, n), dtype)
+        prod, quot = pair.reshape(2, p, flat.shape[1])
+        np.matmul(v, flat, out=prod)
+        np.divide(prod, p, out=quot)
         np.floor(quot, out=quot)
         quot *= p
         prod -= quot
         c = np.moveaxis(prod.reshape((p,) + moved.shape[1:]), 0, axis)
-    return c.astype(np.int64)
+    np.copyto(out, c, casting="unsafe")
+    return out
 
 
 def _mask_table(
-    params: SumcheckParams, f: MultiPoly, q: MultiPoly, ts: list[MultiPoly]
+    params: SumcheckParams, f: MultiPoly, q: MultiPoly, ts: list[MultiPoly], out, scratch
 ) -> np.ndarray:
     """Table of the masked word F + Q - Q(rev) + sum Z_H(X_i) T_i.
 
     The word is summed in the coefficient domain (individual degree <= d)
-    and evaluated over F^m once.
+    and evaluated over F^m once, into ``out`` (see ``_grid_eval``).
     """
     p, m = params.p, params.m
     zh = univariate_from_roots(params.h, p)
@@ -236,19 +309,17 @@ def _mask_table(
         shape = [1] * m
         shape[i] = zh.size
         word = word.add(t.mul(MultiPoly(p, zh.reshape(shape))))
-    return _grid_eval(word, p)
+    return _grid_eval(word, p, out, scratch)
 
 
-def _sum_tables(table: np.ndarray, params: SumcheckParams) -> list[np.ndarray]:
-    """All prefix-sum layers over suffix cubes of the summation set; the
-    full-arity layer is ``table`` itself, whose entries are field elements."""
+def _sum_tables(layers: list[np.ndarray], params: SumcheckParams):
+    """Fill layers[m-1..0] in place with the prefix sums over suffix cubes of
+    the summation set; ``layers[m]`` is the masked word's table, whose
+    entries are field elements."""
     h = list(params.h)
-    layers = [None] * (params.m + 1)
-    layers[params.m] = table
     for i in range(params.m - 1, -1, -1):
-        nxt = layers[i + 1]
-        layers[i] = nxt[..., h].sum(axis=-1) % params.p
-    return layers
+        np.sum(layers[i + 1][..., h], axis=-1, out=layers[i])
+        np.remainder(layers[i], params.p, out=layers[i])
 
 
 def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
@@ -256,6 +327,11 @@ def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
 
     Q is uniform of individual degree d; each T_i is uniform with the degree
     in axis i reduced by |H|; the mask is Q - Q(rev) + sum Z_H(X_i) T_i.
+
+    The tables are written straight into one image (the wire image when
+    ``params`` has reading nodes), which is then frozen: every table is a
+    read-only view, and ``serialize_proof`` of the unchanged proof copies
+    nothing.
     """
     p, m, d = params.p, params.m, params.d
     if p**m > TABLE_CAP:
@@ -270,8 +346,15 @@ def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
         MultiPoly(p, fld.sample_array(rng, tuple(dd + 1 for dd in params.t_degree_vector(i))))
         for i in range(m)
     ]
-    sigma = _sum_tables(_mask_table(params, f_poly, q, ts), params)
-    return ProofOracle(params, sigma, _grid_eval(q, p), [_grid_eval(t, p) for t in ts])
+    head = _wire_head(params) if isinstance(params, PcpParams) else None
+    buf, tables = _new_image(p, m, head)
+    # every polynomial here has axis lengths <= d + 1
+    scratch = np.empty((2, p**m), _grid_dtype(d + 1, p))
+    _mask_table(params, f_poly, q, ts, tables[m], scratch)
+    _sum_tables(tables[: m + 1], params)
+    for poly, slot in zip([q, *ts], tables[m + 1 :]):
+        _grid_eval(poly, p, slot, scratch)
+    return _proof_of(params, tables, buf)
 
 
 @dataclass
@@ -605,27 +688,50 @@ def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
     return row % p, (-view.f_eval(pt)) % p
 
 
+def _is_image_of(proof: ProofOracle) -> bool:
+    """Whether the proof still holds exactly the parameters and the tables,
+    each a read-only view of the frozen buffer, that its image was made
+    with. Checked by identity, so it cannot go stale when a caller
+    reassigns a table or the parameters, or copies the proof."""
+    if proof._image is None:
+        return False
+    buf, params, tables = proof._image
+    current = [*proof.sigma, proof.q, *proof.t]
+    return (
+        proof.params is params
+        and not buf.flags.writeable
+        and len(current) == len(tables)
+        and all(
+            a is b and a.base is buf and not a.flags.writeable
+            for a, b in zip(current, tables)
+        )
+    )
+
+
 def serialize_proof(proof: ProofOracle) -> memoryview:
     """MAGIC, the u64 header, then every table as little-endian 64-bit words.
 
-    The image is written into one numpy buffer and returned as a read-only
-    memoryview (format ``B``) of exactly the wire bytes; call ``bytes()`` on it
-    for a ``bytes``. One allocation keeps the page faults of a large proof
-    down (numpy asks for huge pages), and starting the image 4 bytes into the
-    buffer puts every word after MAGIC on an 8-byte boundary. Each table is
-    copied once. Entries are written as two's complement words; the decoder
-    refuses any outside [0, p).
+    Returns a read-only memoryview (format ``B``) of exactly the wire bytes;
+    call ``bytes()`` on it for a ``bytes``. A proof that still holds the
+    tables ``prove`` wrote is returned as its image, with no copy. Any other
+    proof is copied once into a fresh image (see ``_new_image``); its tables
+    must have the shapes its parameters imply. Entries are written as two's
+    complement words; the decoder refuses any outside [0, p).
     """
     params = proof.params
-    head = [params.p, params.m, params.d, len(params.h), *params.h,
-            len(params.nodes), *params.nodes]
+    if not isinstance(params, PcpParams):
+        raise ValueError(
+            "only a proof over PcpParams can be serialized: the wire header "
+            "names the verifier's reading nodes"
+        )
+    if _is_image_of(proof):
+        return memoryview(proof._image[0])[4:]
+    buf, slots = _new_image(params.p, params.m, _wire_head(params))
     tables = [*proof.sigma, proof.q, *proof.t]
-    buf = np.empty(8 * (1 + len(head) + sum(t.size for t in tables)), np.uint8)
-    struct.pack_into(f"<4s{len(head)}Q", buf, 4, MAGIC, *head)
-    words = buf[8 + 8 * len(head) :].view("<i8")
-    for t in tables:
-        words[: t.size].reshape(t.shape)[...] = t
-        words = words[t.size :]
+    if [np.shape(t) for t in tables] != [slot.shape for slot in slots]:
+        raise ValueError("proof tables do not have the shapes of their parameters")
+    for slot, t in zip(slots, tables):
+        slot[...] = t
     buf.flags.writeable = False
     return memoryview(buf)[4:]
 
@@ -642,21 +748,22 @@ def deserialize_proof(blob) -> ProofOracle:
     The tables are read-only int64 views, decoded in place only from a buffer
     that cannot change: a ``bytes``, or a read-only view of a read-only numpy
     array that owns its memory, which is what ``serialize_proof`` returns.
-    Every other buffer is copied first, so the checked entries cannot change
-    under the tables.
+    Every other buffer is copied first, into a fresh image laid out as
+    ``serialize_proof`` lays it out (so the words are 8-byte aligned), and
+    the checked entries cannot change under the tables.
     """
     blob = memoryview(blob)
+    if not blob.c_contiguous:
+        # a private bytes copy, in the blob's logical byte order
+        blob = memoryview(blob.tobytes())
     owner = blob.obj
-    fixed = blob.c_contiguous and (
-        type(owner) is bytes
-        or (
-            blob.readonly
-            and type(owner) is np.ndarray
-            and owner.flags.owndata
-            and not owner.flags.writeable
-        )
+    fixed = type(owner) is bytes or (
+        blob.readonly
+        and type(owner) is np.ndarray
+        and owner.flags.owndata
+        and not owner.flags.writeable
     )
-    blob = (blob if fixed else memoryview(bytes(blob))).cast("B")
+    blob = blob.cast("B")
     if blob[:4] != MAGIC:
         raise ValueError("bad proof magic")
     off = 4
@@ -677,19 +784,23 @@ def deserialize_proof(blob) -> ProofOracle:
         raise ValueError("need d + 1 distinct reading nodes")
     if m > 64 or p ** max(m, 1) > TABLE_CAP:
         raise ValueError("dense proof tables exceed the size cap")
-    shapes = [(p,) * i for i in range(m + 1)] + [(p,) * m] * (m + 1)
-    sizes = [p ** len(shape) for shape in shapes]
-    if len(blob) - off != 8 * sum(sizes):
+    total = _table_words(p, m)
+    if len(blob) - off != 8 * total:
         raise ValueError("proof length does not match its header")
     params = PcpParams(p, m, d, tuple(h), tuple(nodes))
     if params.h != tuple(h):
         raise ValueError("summation set must be strictly increasing")
-    flat = np.frombuffer(blob, "<u8", sum(sizes), off)
-    if flat.size and int(flat.max()) >= p:
+    if fixed:
+        buf, words = None, np.frombuffer(blob, "<i8", total, off)
+        tables = _split_tables(words, p, m)
+    else:
+        # the header just parsed is written afresh; only the tables are copied
+        buf, tables = _new_image(p, m, _wire_head(params))
+        buf[4 + off :] = np.frombuffer(blob, np.uint8, 8 * total, off)
+        words = buf[4 + off :].view("<i8")
+    if words.size and int(words.view("<u8").max()) >= p:
         raise ValueError("proof entry is not a field element")
-    parts = np.split(flat.view("<i8"), np.cumsum(sizes)[:-1])
-    tables = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-    return ProofOracle(params, tables[: m + 1], tables[m + 1], tables[m + 2 :])
+    return _proof_of(params, tables, buf)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -27,13 +28,17 @@ SCRIPT = {
 }
 
 
-def run_cli(*argv):
+def cli_env():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "zkpcp.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=cli_env(),
     )
     records = [json.loads(line) for line in proc.stdout.splitlines() if line]
     return proc.returncode, records
@@ -245,6 +250,49 @@ def test_verify_refuses_malformed_proof(cnf_file, tmp_path):
     assert "truncated" in recs[-1]["message"]
 
 
+def test_verify_checks_every_entry_of_the_file(cnf_file, tmp_path):
+    out = tmp_path / "p.bin"
+    run_cli("prove", "--cnf", cnf_file, "--count", "3", "--seed", "7", "--out", str(out))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(out.read_bytes()[:-8] + b"\xff" * 8)
+    code, recs = run_cli("verify", "--cnf", cnf_file, "--count", "3", "--proof", str(bad))
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "field element" in recs[-1]["message"]
+
+
+def test_proof_file_is_read_into_an_aligned_frozen_image(tmp_path):
+    from zkpcp.cli import read_proof_file
+    from zkpcp.pcp import PcpParams, deserialize_proof, prove, serialize_proof
+    from zkpcp.poly import MultiPoly
+
+    params = PcpParams(11, 2, 3, (0, 1))
+    poly = MultiPoly(11, np.eye(2, dtype=np.int64)[::-1])
+    blob = serialize_proof(prove(poly, params, random.Random(0)))
+    path = tmp_path / "p.bin"
+    path.write_bytes(blob)
+    view = read_proof_file(path)
+    assert view.readonly and bytes(view) == bytes(blob)
+    back = deserialize_proof(view)
+    # decoded in place, every word on an 8-byte boundary
+    assert np.shares_memory(back.q, np.frombuffer(view, np.uint8))
+    assert all(t.flags.aligned for t in [*back.sigma, back.q, *back.t])
+
+
+def test_verify_reads_a_proof_from_a_pipe(cnf_file, tmp_path):
+    out = tmp_path / "p.bin"
+    run_cli("prove", "--cnf", cnf_file, "--count", "3", "--seed", "7", "--out", str(out))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkpcp.cli", "verify", "--cnf", cnf_file, "--count", "3",
+         "--proof", "/dev/stdin"],
+        input=out.read_bytes(),
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1])["accepts"] == 1
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_refuses_fewer_than_one_trial(cnf_file, tmp_path, trials):
     out = str(tmp_path / "p.bin")
@@ -275,13 +323,17 @@ def test_audit_zk_refuses_an_empty_or_negative_battery():
     assert "nonnegative" in recs[-1]["message"]
 
 
-# each point set names a coordinate outside [0, p); the parsed point would
-# reduce mod p onto another point while keeping its raw label
+# each point set, or summation set, names a coordinate outside [0, p); the
+# parsed point would reduce mod p onto another point while keeping its raw
+# label, and the locators would search a product set outside the field
 OUT_OF_FIELD = {
     "detect-above": ("detect", "--field", "5", "--points", "[[0,4],[0,9]]"),
     "sigma-rm-above": ("locate", "--code", "sigma-rm", "--points", "[[7],[2]]"),
     "rm-negative": ("locate", "--code", "rm", "--points", "[[-1,0]]"),
     "antisym-above": ("locate", "--code", "antisym", "--field", "5", "--points", "[[5]]"),
+    "rm-h-set-above": ("locate", "--code", "rm", "--field", "5", "--h-set=0,7", "--points", "[[1,0]]"),
+    "sigma-rm-h-set-at-p": ("locate", "--code", "sigma-rm", "--field", "5", "--h-set=5", "--points", "[[1]]"),
+    "antisym-h-set-negative": ("locate", "--code", "antisym", "--field", "5", "--h-set=-1,0", "--points", "[[1]]"),
 }
 
 
@@ -291,6 +343,24 @@ def test_locate_and_detect_refuse_points_outside_the_field(case):
     assert code == 2
     assert [r["record"] for r in recs] == ["error"]
     assert "outside [0, 5)" in recs[-1]["message"]
+
+
+# each coordinate is a JSON value that int() would turn into a field element
+NOT_INTEGERS = {
+    "float": ("detect", "--field", "5", "--m", "2", "--points", "[[1.5,0],[0,2]]"),
+    "integral-float": ("detect", "--field", "5", "--m", "2", "--points", "[[1.0,0]]"),
+    "bool": ("detect", "--field", "5", "--m", "2", "--points", "[[true,2]]"),
+    "string": ("locate", "--code", "rm", "--field", "5", "--points", '[["1",0]]'),
+    "antisym-float": ("locate", "--code", "antisym", "--field", "5", "--points", "[[0.5]]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_locate_and_detect_refuse_coordinates_that_are_not_integers(case):
+    code, recs = run_cli(*NOT_INTEGERS[case])
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "not an integer" in recs[-1]["message"]
 
 
 def test_locate_refuses_points_that_are_not_lists():

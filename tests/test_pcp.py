@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -365,6 +366,26 @@ def test_grid_eval_matches_int64_generator(p, shape):
         assert [int(table[pt]) for pt in pts] == want.tolist()
 
 
+@pytest.mark.parametrize(
+    "p, shape", [(101, (4, 4, 4)), (2039, (4, 3)), (2053, (4, 3)), (131071, (9,))]
+)
+def test_grid_eval_into_a_slot_matches_a_fresh_table(p, shape):
+    rng = np.random.default_rng(p)
+    poly = MultiPoly(p, rng.integers(0, p, shape))
+    m = len(shape)
+    fresh = _grid_eval(poly, p)
+    dtype = np.float32 if max(shape) * p * p < 2**24 else np.float64
+    other = np.float64 if dtype is np.float32 else np.float32
+    for scratch_dtype in (None, dtype, other):
+        out = np.full((p,) * m, -1, dtype=np.int64)
+        scratch = None if scratch_dtype is None else np.empty((2, p**m), scratch_dtype)
+        assert _grid_eval(poly, p, out, scratch) is out
+        assert np.array_equal(out, fresh)
+        if scratch_dtype is dtype:
+            # the last contraction ran in the scratch and left the table there
+            assert np.array_equal(scratch[0].reshape(out.shape), out)
+
+
 def test_grid_eval_refuses_past_the_float64_bound():
     p = 131071
     k = -(-(2**53) // (p * p))  # the least axis length with k * p^2 >= 2^53
@@ -502,6 +523,115 @@ def test_deserialize_copies_buffers_that_can_change():
     # a strided view of bytes is decoded in its logical byte order
     spread = memoryview(np.repeat(np.frombuffer(wire, np.uint8), 2).tobytes())[::2]
     assert serialize_proof(deserialize_proof(spread)) == wire
+
+
+def copy_path_wire(proof):
+    """The wire bytes written table by table, as the codec wrote them before
+    prove wrote the image itself."""
+    params = proof.params
+    head = [params.p, params.m, params.d, len(params.h), *params.h,
+            len(params.nodes), *params.nodes]
+    tables = [*proof.sigma, proof.q, *proof.t]
+    return b"ZKP1" + struct.pack(f"<{len(head)}Q", *head) + b"".join(
+        np.ascontiguousarray(t, dtype="<i8").tobytes() for t in tables
+    )
+
+
+def test_prove_tables_are_read_only():
+    for params in (PcpParams(11, 2, 3, (0, 1)), SumcheckParams(11, 2, 3, (0, 1))):
+        proof = prove(xy_poly(11), params, random.Random(0))
+        for t in [*proof.sigma, proof.q, *proof.t]:
+            assert t.dtype == np.int64 and t.flags.c_contiguous and t.flags.aligned
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[(0,) * t.ndim] = 1
+            with pytest.raises(ValueError):
+                t.flags.writeable = True
+
+
+def test_serialize_returns_the_image_prove_wrote():
+    params = PcpParams(11, 2, 3, (0, 1))
+    proof = prove(xy_poly(11), params, random.Random(1))
+    blob = serialize_proof(proof)
+    assert np.shares_memory(blob, proof.q)
+    assert all(np.shares_memory(blob, t) for t in [*proof.sigma, *proof.t])
+    assert np.shares_memory(serialize_proof(proof), blob)
+    assert bytes(blob) == copy_path_wire(proof)
+    # a proof decoded from a buffer that can change owns a fresh image
+    back = deserialize_proof(bytearray(blob))
+    assert np.shares_memory(serialize_proof(back), back.q)
+    assert bytes(serialize_proof(back)) == bytes(blob)
+
+
+def _changed_proofs(params, poly):
+    """(name, proof) pairs, each no longer holding what prove wrote."""
+    other = prove(poly, params, random.Random(7))
+    proof = prove(poly, params, random.Random(1))
+    proof.q = proof.q.copy()
+    yield "q reassigned", proof
+    proof = prove(poly, params, random.Random(1))
+    proof.sigma[1] = other.sigma[1]
+    yield "sigma[1] replaced", proof
+    proof = prove(poly, params, random.Random(1))
+    proof.params = PcpParams(params.p, params.m, params.d, params.h, (0, 1, 2, 4))
+    yield "params replaced", proof
+    proof = prove(poly, params, random.Random(1))
+    proof.params = PcpParams(params.p, params.m, params.d, params.h)
+    yield "params replaced by an equal object", proof
+    proof = prove(poly, params, random.Random(1))
+    yield "foreign tables", ProofOracle(
+        params, [t.copy() for t in proof.sigma], proof.q.copy(), [t.copy() for t in proof.t]
+    )
+    yield "the same tables in a new oracle", ProofOracle(
+        proof.params, proof.sigma, proof.q, proof.t
+    )
+    yield "deep copy", copy.deepcopy(prove(poly, params, random.Random(1)))
+    # a deep copy's tables are writable copies, whatever its buffer's flags
+    proof = copy.deepcopy(prove(poly, params, random.Random(1)))
+    proof.q[0, 0] = (proof.q[0, 0] + 1) % params.p
+    proof._image[0].flags.writeable = False
+    yield "deep copy edited", proof
+
+
+def test_serialize_copies_a_proof_that_changed():
+    params = PcpParams(11, 2, 3, (0, 1))
+    poly = xy_poly(11)
+    image = serialize_proof(prove(poly, params, random.Random(1)))
+    for name, proof in _changed_proofs(params, poly):
+        blob = serialize_proof(proof)
+        assert not any(
+            np.shares_memory(blob, t) for t in [*proof.sigma, proof.q, *proof.t]
+        ), name
+        assert bytes(blob) == copy_path_wire(proof), name
+        if name in ("q reassigned", "foreign tables", "the same tables in a new oracle",
+                    "deep copy"):
+            assert bytes(blob) == bytes(image), name
+    # a table of the wrong shape is refused, not broadcast into its slot
+    proof = prove(poly, params, random.Random(1))
+    proof.sigma[2] = proof.sigma[1]
+    with pytest.raises(ValueError, match="shapes"):
+        serialize_proof(proof)
+    proof = prove(poly, params, random.Random(1))
+    proof.t.append(proof.q)
+    with pytest.raises(ValueError, match="shapes"):
+        serialize_proof(proof)
+
+
+def test_serialize_refuses_a_proof_without_reading_nodes():
+    proof = prove(xy_poly(11), SumcheckParams(11, 2, 3, (0, 1)), random.Random(0))
+    with pytest.raises(ValueError, match="reading nodes"):
+        serialize_proof(proof)
+
+
+def test_deserialized_copies_are_aligned_images():
+    params = PcpParams(11, 2, 3, (0, 1))
+    blob = serialize_proof(prove(xy_poly(11), params, random.Random(1)))
+    for given in (bytearray(blob), memoryview(bytearray(blob))):
+        back = deserialize_proof(given)
+        for t in [*back.sigma, back.q, *back.t]:
+            assert t.flags.aligned and t.ctypes.data % 8 == 0
+            assert not t.flags.writeable
+        assert bytes(serialize_proof(back)) == bytes(blob)
 
 
 def test_simulator_examples():
