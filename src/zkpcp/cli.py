@@ -108,6 +108,11 @@ def cmd_prove(args) -> int:
     bundle = load_bundle(args)
     rng = trial_rng(args.seed, 0)
     proof = prove_shifted(bundle, rng) if args.dishonest_shift else bundle.prove(rng)
+    if proof.sigma_at(()) != bundle.gamma:
+        raise ValueError(
+            f"the formula's model count is not {args.count} mod {bundle.params.p}; "
+            "an honest proof cannot claim it (use --dishonest-shift)"
+        )
     blob = serialize_proof(proof)
     Path(args.out).write_bytes(blob)
     emit(

@@ -13,6 +13,8 @@ from __future__ import annotations
 import copy
 import math
 import struct
+import sys
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
@@ -210,6 +212,48 @@ def _wire_head(params: PcpParams) -> list[int]:
             len(params.nodes), *params.nodes]
 
 
+def _refs(pool: list, i: int) -> int:
+    return sys.getrefcount(pool[i])
+
+
+def _free_count() -> int:
+    """_refs of an image only the pool holds, if every count agrees; 0 (never
+    reuse) where references cannot be counted, or are counted while another
+    thread changes them (no GIL)."""
+    if not hasattr(sys, "getrefcount") or not getattr(sys, "_is_gil_enabled", lambda: True)():
+        return 0
+    counts = {_refs([np.empty(0, np.uint8)], 0) for _ in range(64)}
+    return counts.pop() if len(counts) == 1 else 0
+
+
+# The last two images _new_image handed out. One that only this list holds
+# (_refs == _FREE) is free: numpy views and exported buffers all hold the
+# owning array, so no proof, table or memoryview can reach it.
+_POOL: list[np.ndarray] = []
+_POOL_LOCK = threading.Lock()
+_FREE = _free_count()
+
+
+def _pooled(size: int) -> np.ndarray:
+    """A writable uint8 buffer of ``size`` bytes, with stale contents: the
+    latest free pooled image of that size, whose pages are already mapped
+    (every other free one of that size is dropped), else a new array."""
+    with _POOL_LOCK:
+        free = [
+            i for i in range(len(_POOL))
+            if _FREE and _POOL[i].size == size and _refs(_POOL, i) == _FREE
+        ]
+        if free:
+            buf = _POOL[free[-1]]
+            _POOL[:] = [b for i, b in enumerate(_POOL) if i not in free]
+            buf.flags.writeable = True
+        else:
+            buf = np.empty(size, np.uint8)
+        _POOL.append(buf)
+        del _POOL[:-2]
+    return buf
+
+
 def _new_image(p: int, m: int, head=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """One uint8 buffer for a whole proof, and writable int64 views of its
     tables in wire order; the only place proof tables are allocated.
@@ -218,10 +262,11 @@ def _new_image(p: int, m: int, head=None) -> tuple[np.ndarray, list[np.ndarray]]
     words, then the tables, so ``buf[4:]`` is the wire image and every word
     after MAGIC sits on an 8-byte boundary. Without one it holds the tables
     alone. One allocation keeps the page faults of a large proof down (numpy
-    asks for huge pages).
+    asks for huge pages), and reusing a freed image (``_pooled``) avoids
+    them: every caller writes each byte it hands out.
     """
     lead = 0 if head is None else 1 + len(head)
-    buf = np.empty(8 * (lead + _table_words(p, m)), np.uint8)
+    buf = _pooled(8 * (lead + _table_words(p, m)))
     if head is not None:
         struct.pack_into(f"<4s{len(head)}Q", buf, 4, MAGIC, *head)
     return buf, _split_tables(buf[8 * lead :].view("<i8"), p, m)
@@ -714,9 +759,9 @@ def serialize_proof(proof: ProofOracle) -> memoryview:
     Returns a read-only memoryview (format ``B``) of exactly the wire bytes;
     call ``bytes()`` on it for a ``bytes``. A proof that still holds the
     tables ``prove`` wrote is returned as its image, with no copy. Any other
-    proof is copied once into a fresh image (see ``_new_image``); its tables
-    must have the shapes its parameters imply. Entries are written as two's
-    complement words; the decoder refuses any outside [0, p).
+    proof is copied once into an image of its own (see ``_new_image``); its
+    tables must have the shapes its parameters imply. Entries are written as
+    two's complement words; the decoder refuses any outside [0, p).
     """
     params = proof.params
     if not isinstance(params, PcpParams):
@@ -746,10 +791,12 @@ def deserialize_proof(blob) -> ProofOracle:
     exactly. Every table entry must then be a field element.
 
     The tables are read-only int64 views, decoded in place only from a buffer
-    that cannot change: a ``bytes``, or a read-only view of a read-only numpy
-    array that owns its memory, which is what ``serialize_proof`` returns.
-    Every other buffer is copied first, into a fresh image laid out as
-    ``serialize_proof`` lays it out (so the words are 8-byte aligned), and
+    that cannot change while anything references it: a ``bytes``, or a
+    read-only view of a read-only numpy array that owns its memory, which is
+    what ``serialize_proof`` returns (a proof image is reused only once
+    nothing references it, and up to two freed images stay resident; see
+    ``_pooled``). Every other buffer is copied first, into an image laid out
+    as ``serialize_proof`` lays it out (so the words are 8-byte aligned), and
     the checked entries cannot change under the tables.
     """
     blob = memoryview(blob)

@@ -83,6 +83,20 @@ def test_verify_wrong_count_rejects(cnf_file, tmp_path):
     assert recs[-1]["accepts"] == 0
 
 
+def test_prove_refuses_a_count_the_formula_does_not_have(tmp_path):
+    # 4 models: an honest proof would claim 4, whatever --count says
+    cnf = tmp_path / "four.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    out = tmp_path / "p.bin"
+    code, recs = run_cli("prove", "--cnf", str(cnf), "--count", "3", "--out", str(out))
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "model count is not 3" in recs[-1]["message"]
+    assert not out.exists()
+    code, recs = run_cli("prove", "--cnf", str(cnf), "--count", "4", "--out", str(out))
+    assert code == 0 and recs[-1]["claimed_count"] == 4 and out.exists()
+
+
 def test_dishonest_shift_rejected_in_most_trials(cnf_file, tmp_path):
     out = str(tmp_path / "cheat.bin")
     code, _ = run_cli(

@@ -3,12 +3,16 @@ import hashlib
 import itertools
 import random
 import struct
+import sys
+import threading
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from zkpcp import pcp
 from zkpcp.audit import AuditError, ScriptStep, audit_script
 from zkpcp.domains import hypercube
 from zkpcp.field import MAX_MODULUS, Field
@@ -632,6 +636,136 @@ def test_deserialized_copies_are_aligned_images():
             assert t.flags.aligned and t.ctypes.data % 8 == 0
             assert not t.flags.writeable
         assert bytes(serialize_proof(back)) == bytes(blob)
+
+
+def _held(kind, params, poly):
+    """The one object of ``kind`` left holding a proof image; the proof it
+    came from is dropped."""
+    proof = prove(poly, params, random.Random(1))
+    if kind == "table view":
+        return proof.q
+    if kind == "serialize memoryview":
+        return serialize_proof(proof)
+    if kind == "proof decoded in place":
+        return deserialize_proof(serialize_proof(proof))
+    if kind == "frombuffer view":
+        return np.frombuffer(serialize_proof(proof), np.uint8)
+    if kind == "serialize copy":
+        proof.q = proof.q.copy()
+        return serialize_proof(proof)
+    if kind == "proof decoded from a copy":
+        return deserialize_proof(bytearray(serialize_proof(proof)))
+    raise AssertionError(kind)
+
+
+def _held_arrays(held):
+    if isinstance(held, ProofOracle):
+        return [*held.sigma, held.q, *held.t]
+    return [np.frombuffer(held, np.uint8)]
+
+
+def test_held_images_keep_their_bytes_across_later_proves():
+    params = PcpParams(11, 2, 3, (0, 1))
+    poly = xy_poly(11)
+    for kind in ("table view", "serialize memoryview", "proof decoded in place",
+                 "frombuffer view", "serialize copy", "proof decoded from a copy"):
+        held = _held(kind, params, poly)
+        before = [a.tobytes() for a in _held_arrays(held)]
+        for seed in (2, 3):
+            later = prove(poly, params, random.Random(seed))
+            assert not any(
+                np.shares_memory(a, t)
+                for a in _held_arrays(held) for t in [*later.sigma, later.q, *later.t]
+            ), kind
+            del later
+        assert [a.tobytes() for a in _held_arrays(held)] == before, kind
+
+
+def test_a_dropped_image_is_reused():
+    params = PcpParams(11, 2, 3, (0, 1))
+    poly = xy_poly(11)
+    want = bytes(serialize_proof(prove(poly, params, random.Random(2))))
+    proof = prove(poly, params, random.Random(1))
+    image = weakref.ref(proof._image[0])
+    del proof
+    proof = prove(poly, params, random.Random(2))
+    assert proof._image[0] is image() and np.shares_memory(image(), proof.q)
+    # a reused image is frozen again and handed out as the wire image
+    assert not image().flags.writeable
+    assert not any(t.flags.writeable for t in [*proof.sigma, proof.q, *proof.t])
+    assert np.shares_memory(serialize_proof(proof), proof.q)
+    assert bytes(serialize_proof(proof)) == want == copy_path_wire(proof)
+
+
+def test_at_most_two_images_stay_pooled():
+    poly = xy_poly(11)
+    proofs = [prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (1, 2)]
+    proofs += [prove(xy_poly(p), PcpParams(p, 2, 3, (0, 1)), random.Random(0))
+               for p in (13, 17)]
+    assert len(pcp._POOL) == 2
+    del proofs
+    proof = prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(3))
+    assert len(pcp._POOL) <= 2 and pcp._POOL[-1] is proof._image[0]
+    # both same-size images were free: one is reused, the other dropped
+    a, b = (prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (4, 5))
+    del proof, a, b
+    proof = prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(6))
+    assert len(pcp._POOL) == 1 and pcp._POOL[0] is proof._image[0]
+
+
+def test_concurrent_proves_match_a_sequential_run(monkeypatch):
+    params = PcpParams(31, 3, 3, (0, 1))
+    poly = MultiPoly(31, np.arange(8, dtype=np.int64).reshape(2, 2, 2))
+
+    def run(seeds):
+        digests = []
+        for seed in seeds:
+            # the last proof stays alive while the next one is proved
+            proof = prove(poly, params, random.Random(seed))
+            digests.append(hashlib.sha256(serialize_proof(proof)).hexdigest())
+        return digests
+
+    runs = [range(6 * k, 6 * k + 6) for k in range(4)]
+    want = [run(seeds) for seeds in runs]
+
+    def slow_refs(pool, i, refs=pcp._refs):
+        # widen the window between finding an image free and taking it
+        n = refs(pool, i)
+        time.sleep(0.001)
+        return n
+
+    monkeypatch.setattr(pcp, "_refs", slow_refs)
+    got = [None] * len(runs)
+    threads = [
+        threading.Thread(target=lambda k=k: got.__setitem__(k, run(runs[k])))
+        for k in range(len(runs))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+
+
+def test_a_reassigned_table_serialises_through_the_copy_path():
+    # criterion 7 corrupts q by reassignment on every trial
+    params = PcpParams(101, 2, 3, (0, 1))
+    poly = xy_poly(101)
+    for seed in range(3):
+        proof = prove(poly, params, random.Random(f"h:{seed}"))
+        image = proof._image[0]
+        written = image.tobytes()
+        proof.q = np.random.default_rng(seed).integers(0, 101, proof.q.shape)
+        blob = serialize_proof(proof)
+        assert not np.shares_memory(blob, image)
+        assert bytes(blob) == copy_path_wire(proof)
+        assert image.tobytes() == written
 
 
 def test_simulator_examples():
