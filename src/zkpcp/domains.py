@@ -102,11 +102,6 @@ class ProductSet:
     def suffix_points(self, length: int) -> Iterator[Point]:
         yield from product(*self.factors[length:])
 
-    def all_prefixes(self) -> Iterator[Point]:
-        """All of A-bar = union over i of A_1 x ... x A_i, including ()."""
-        for i in range(self.m + 1):
-            yield from self.prefix_points(i)
-
     def cube_of(self, pt: Point) -> Iterator[Point]:
         """Full-length points of the suffix cube denoted by prefix pt."""
         for tail in self.suffix_points(len(pt)):

@@ -119,7 +119,7 @@ def arithmetize(cnf: CnfInstance, p: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class SumcheckParams:
-    """Common input to prover and simulator: (p, m, d, H)."""
+    """Common input to the simulator and the audit: (p, m, d, H)."""
 
     p: int
     m: int
@@ -177,25 +177,51 @@ class PcpParams(SumcheckParams):
         return self.m * self.d * 10 < self.p
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProofOracle:
-    """Dense proof tables: sigma[i] has shape (p,) * i; q and t_i, (p,) * m."""
+    """A proof: its parameters and its wire image, exactly the bytes
+    ``serialize_proof`` returns, in a read-only memoryview (format ``B``).
 
-    params: SumcheckParams
-    sigma: list[np.ndarray]
-    q: np.ndarray
-    t: list[np.ndarray]
-    # (buffer, params, tables) of the frozen image the tables are views of
-    _image: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    The tables are read-only int64 views cut from ``wire`` once: sigma[i] has
+    shape (p,) * i; q and t_i, (p,) * m. ``sigma`` and ``t`` return fresh
+    lists of them. Build a proof with ``prove``, ``deserialize_proof`` or
+    ``proof_from_tables``; the wire must start with the header of ``params``.
+    Proofs compare by identity; compare ``bytes(proof.wire)`` for the bytes.
+    """
+
+    params: PcpParams
+    wire: memoryview = field(repr=False)
+    q: np.ndarray = field(init=False, repr=False)
+    _sigma: tuple = field(init=False, repr=False)
+    _t: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p, m = self.params.p, self.params.m
+        lead, total = _wire_lead(self.params), _table_words(p, m)
+        wire = self.wire
+        if not wire.readonly or len(wire) != len(lead) + 8 * total or wire[: len(lead)] != lead:
+            raise ValueError("the wire is not a read-only image of the parameters")
+        tables = _split_tables(np.frombuffer(wire, "<i8", total, len(lead)), p, m)
+        object.__setattr__(self, "_sigma", tuple(tables[: m + 1]))
+        object.__setattr__(self, "q", tables[m + 1])
+        object.__setattr__(self, "_t", tuple(tables[m + 2 :]))
+
+    @property
+    def sigma(self) -> list[np.ndarray]:
+        return list(self._sigma)
+
+    @property
+    def t(self) -> list[np.ndarray]:
+        return list(self._t)
 
     def sigma_at(self, pt: Point) -> int:
-        return int(self.sigma[len(pt)][pt]) if pt else int(self.sigma[0][()])
+        return int(self._sigma[len(pt)][pt]) if pt else int(self._sigma[0][()])
 
     def q_at(self, pt: Point) -> int:
         return int(self.q[pt])
 
     def t_at(self, i: int, pt: Point) -> int:
-        return int(self.t[i][pt])
+        return int(self._t[i][pt])
 
 
 def _table_shapes(p: int, m: int) -> list[tuple[int, ...]]:
@@ -207,9 +233,15 @@ def _table_words(p: int, m: int) -> int:
     return sum(math.prod(shape) for shape in _table_shapes(p, m))
 
 
-def _wire_head(params: PcpParams) -> list[int]:
-    return [params.p, params.m, params.d, len(params.h), *params.h,
+def _wire_lead(params: PcpParams) -> bytes:
+    """MAGIC and the u64 header: the wire bytes before the tables."""
+    if not isinstance(params, PcpParams):
+        raise ValueError(
+            "a proof needs PcpParams: the wire header names the verifier's reading nodes"
+        )
+    head = [params.p, params.m, params.d, len(params.h), *params.h,
             len(params.nodes), *params.nodes]
+    return struct.pack(f"<4s{len(head)}Q", MAGIC, *head)
 
 
 def _refs(pool: list, i: int) -> int:
@@ -254,22 +286,20 @@ def _pooled(size: int) -> np.ndarray:
     return buf
 
 
-def _new_image(p: int, m: int, head=None) -> tuple[np.ndarray, list[np.ndarray]]:
+def _new_image(params: PcpParams) -> tuple[np.ndarray, list[np.ndarray]]:
     """One uint8 buffer for a whole proof, and writable int64 views of its
-    tables in wire order; the only place proof tables are allocated.
+    tables in wire order; the only place proof images are allocated.
 
-    With a ``head``, the buffer is 4 spare bytes, MAGIC, the header as u64
-    words, then the tables, so ``buf[4:]`` is the wire image and every word
-    after MAGIC sits on an 8-byte boundary. Without one it holds the tables
-    alone. One allocation keeps the page faults of a large proof down (numpy
-    asks for huge pages), and reusing a freed image (``_pooled``) avoids
-    them: every caller writes each byte it hands out.
+    The buffer is 4 spare bytes, MAGIC, the header as u64 words, then the
+    tables, so ``buf[4:]`` is the wire image and every word after MAGIC sits
+    on an 8-byte boundary. One allocation keeps the page faults of a large
+    proof down (numpy asks for huge pages), and reusing a freed image
+    (``_pooled``) avoids them: every caller writes each table byte.
     """
-    lead = 0 if head is None else 1 + len(head)
-    buf = _pooled(8 * (lead + _table_words(p, m)))
-    if head is not None:
-        struct.pack_into(f"<4s{len(head)}Q", buf, 4, MAGIC, *head)
-    return buf, _split_tables(buf[8 * lead :].view("<i8"), p, m)
+    lead = _wire_lead(params)
+    buf = _pooled(4 + len(lead) + 8 * _table_words(params.p, params.m))
+    buf[4 : 4 + len(lead)] = np.frombuffer(lead, np.uint8)
+    return buf, _split_tables(buf[4 + len(lead) :].view("<i8"), params.p, params.m)
 
 
 def _split_tables(words: np.ndarray, p: int, m: int) -> list[np.ndarray]:
@@ -279,19 +309,25 @@ def _split_tables(words: np.ndarray, p: int, m: int) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
-def _proof_of(params: SumcheckParams, tables: list[np.ndarray], buf=None) -> ProofOracle:
-    """The proof over ``tables`` in wire order. Given the image ``buf`` they
-    were written into, the image and its views are frozen for good (a view
-    of a read-only buffer cannot be made writable again) and recorded, so
-    serialize_proof can hand the image back."""
-    m = params.m
-    proof = ProofOracle(params, tables[: m + 1], tables[m + 1], tables[m + 2 :])
-    if buf is not None:
-        buf.flags.writeable = False
-        for t in tables:
-            t.flags.writeable = False
-        proof._image = (buf, params, tuple(tables))
-    return proof
+def _frozen(params: PcpParams, buf: np.ndarray) -> ProofOracle:
+    """The proof whose wire image is ``buf[4:]``, frozen for good: a view of
+    a read-only buffer cannot be made writable again."""
+    buf.flags.writeable = False
+    return ProofOracle(params, memoryview(buf)[4:])
+
+
+def proof_from_tables(params: PcpParams, sigma, q, t) -> ProofOracle:
+    """The proof over the given tables, copied once into an image of its own,
+    for corruption experiments. The tables must have the shapes ``params``
+    implies. Entries are written as two's complement 64-bit words, so the
+    decoder refuses any outside [0, p)."""
+    tables = [*sigma, q, *t]
+    if [np.shape(x) for x in tables] != _table_shapes(params.p, params.m):
+        raise ValueError("proof tables do not have the shapes of their parameters")
+    buf, slots = _new_image(params)
+    for slot, x in zip(slots, tables):
+        slot[...] = x
+    return _frozen(params, buf)
 
 
 def _grid_dtype(k: int, p: int):
@@ -367,16 +403,15 @@ def _sum_tables(layers: list[np.ndarray], params: SumcheckParams):
         np.remainder(layers[i], params.p, out=layers[i])
 
 
-def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
+def prove(f_poly: MultiPoly, params: PcpParams, rng) -> ProofOracle:
     """Sample the mask and emit the full proof tables.
 
     Q is uniform of individual degree d; each T_i is uniform with the degree
     in axis i reduced by |H|; the mask is Q - Q(rev) + sum Z_H(X_i) T_i.
 
-    The tables are written straight into one image (the wire image when
-    ``params`` has reading nodes), which is then frozen: every table is a
-    read-only view, and ``serialize_proof`` of the unchanged proof copies
-    nothing.
+    The tables are written straight into the proof's wire image, which is
+    then frozen. ``params`` must be PcpParams: the wire header names the
+    verifier's reading nodes.
     """
     p, m, d = params.p, params.m, params.d
     if p**m > TABLE_CAP:
@@ -391,15 +426,14 @@ def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
         MultiPoly(p, fld.sample_array(rng, tuple(dd + 1 for dd in params.t_degree_vector(i))))
         for i in range(m)
     ]
-    head = _wire_head(params) if isinstance(params, PcpParams) else None
-    buf, tables = _new_image(p, m, head)
+    buf, tables = _new_image(params)
     # every polynomial here has axis lengths <= d + 1
     scratch = np.empty((2, p**m), _grid_dtype(d + 1, p))
     _mask_table(params, f_poly, q, ts, tables[m], scratch)
     _sum_tables(tables[: m + 1], params)
     for poly, slot in zip([q, *ts], tables[m + 1 :]):
         _grid_eval(poly, p, slot, scratch)
-    return _proof_of(params, tables, buf)
+    return _frozen(params, buf)
 
 
 @dataclass
@@ -408,19 +442,6 @@ class VerifyResult:
     reason: str
     queries: list[tuple[str, Point, int]] = field(default_factory=list)
     path: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class ViewRecord:
-    """A verifier's view: its coins (here, the seed of its stream) and the
-    ordered query transcript. Replaying the coins reproduces the queries."""
-
-    coins: int
-    transcript: tuple[tuple[str, Point, int], ...]
-
-    @staticmethod
-    def from_session(seed: int, session: "SimulatorSession") -> "ViewRecord":
-        return ViewRecord(seed, tuple(session.transcript))
 
 
 @lru_cache(maxsize=64)
@@ -733,52 +754,15 @@ def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
     return row % p, (-view.f_eval(pt)) % p
 
 
-def _is_image_of(proof: ProofOracle) -> bool:
-    """Whether the proof still holds exactly the parameters and the tables,
-    each a read-only view of the frozen buffer, that its image was made
-    with. Checked by identity, so it cannot go stale when a caller
-    reassigns a table or the parameters, or copies the proof."""
-    if proof._image is None:
-        return False
-    buf, params, tables = proof._image
-    current = [*proof.sigma, proof.q, *proof.t]
-    return (
-        proof.params is params
-        and not buf.flags.writeable
-        and len(current) == len(tables)
-        and all(
-            a is b and a.base is buf and not a.flags.writeable
-            for a, b in zip(current, tables)
-        )
-    )
-
-
 def serialize_proof(proof: ProofOracle) -> memoryview:
     """MAGIC, the u64 header, then every table as little-endian 64-bit words.
 
-    Returns a read-only memoryview (format ``B``) of exactly the wire bytes;
-    call ``bytes()`` on it for a ``bytes``. A proof that still holds the
-    tables ``prove`` wrote is returned as its image, with no copy. Any other
-    proof is copied once into an image of its own (see ``_new_image``); its
-    tables must have the shapes its parameters imply. Entries are written as
-    two's complement words; the decoder refuses any outside [0, p).
+    Returns the proof's wire image, a read-only memoryview (format ``B``) of
+    exactly the wire bytes, with no copy; call ``bytes()`` on it for a
+    ``bytes``. Entries are two's complement words; the decoder refuses any
+    outside [0, p).
     """
-    params = proof.params
-    if not isinstance(params, PcpParams):
-        raise ValueError(
-            "only a proof over PcpParams can be serialized: the wire header "
-            "names the verifier's reading nodes"
-        )
-    if _is_image_of(proof):
-        return memoryview(proof._image[0])[4:]
-    buf, slots = _new_image(params.p, params.m, _wire_head(params))
-    tables = [*proof.sigma, proof.q, *proof.t]
-    if [np.shape(t) for t in tables] != [slot.shape for slot in slots]:
-        raise ValueError("proof tables do not have the shapes of their parameters")
-    for slot, t in zip(slots, tables):
-        slot[...] = t
-    buf.flags.writeable = False
-    return memoryview(buf)[4:]
+    return proof.wire
 
 
 def deserialize_proof(blob) -> ProofOracle:
@@ -790,14 +774,15 @@ def deserialize_proof(blob) -> ProofOracle:
     implies must fit the dense size cap and fill the rest of the blob
     exactly. Every table entry must then be a field element.
 
-    The tables are read-only int64 views, decoded in place only from a buffer
-    that cannot change while anything references it: a ``bytes``, or a
-    read-only view of a read-only numpy array that owns its memory, which is
-    what ``serialize_proof`` returns (a proof image is reused only once
-    nothing references it, and up to two freed images stay resident; see
-    ``_pooled``). Every other buffer is copied first, into an image laid out
-    as ``serialize_proof`` lays it out (so the words are 8-byte aligned), and
-    the checked entries cannot change under the tables.
+    The proof's wire is the blob itself only when the blob cannot change
+    while anything references it: a ``bytes``, or a read-only view of a
+    read-only numpy array that owns its memory, which is what
+    ``serialize_proof`` returns (a proof image is reused only once nothing
+    references it, and up to two freed images stay resident; see
+    ``_pooled``). Then ``serialize_proof`` of the result returns that memory
+    again. Every other buffer is copied first, into an image of its own laid
+    out as ``prove`` lays it out (so the words are 8-byte aligned), and the
+    checked entries cannot change under the tables.
     """
     blob = memoryview(blob)
     if not blob.c_contiguous:
@@ -838,16 +823,15 @@ def deserialize_proof(blob) -> ProofOracle:
     if params.h != tuple(h):
         raise ValueError("summation set must be strictly increasing")
     if fixed:
-        buf, words = None, np.frombuffer(blob, "<i8", total, off)
-        tables = _split_tables(words, p, m)
+        proof = ProofOracle(params, blob)
     else:
         # the header just parsed is written afresh; only the tables are copied
-        buf, tables = _new_image(p, m, _wire_head(params))
+        buf, _ = _new_image(params)
         buf[4 + off :] = np.frombuffer(blob, np.uint8, 8 * total, off)
-        words = buf[4 + off :].view("<i8")
-    if words.size and int(words.view("<u8").max()) >= p:
+        proof = _frozen(params, buf)
+    if int(np.frombuffer(proof.wire, "<u8", total, off).max()) >= p:
         raise ValueError("proof entry is not a field element")
-    return _proof_of(params, tables, buf)
+    return proof
 
 
 @dataclass(frozen=True)
@@ -881,11 +865,13 @@ def pcp_for_sharp_sat(
 ) -> SharpSatPcp:
     """Choose parameters for a CNF instance and bind the claim.
 
-    The modulus must exceed both the soundness threshold 10 m d and 2^n so
-    the claimed count cannot alias; a user-supplied smaller prime is
-    rejected.
+    The claimed count must lie in [0, 2^n] and the modulus must exceed both
+    the soundness threshold 10 m d and 2^n, so the claimed count cannot
+    alias; a user-supplied smaller prime is rejected.
     """
     m = cnf.num_vars
+    if not 0 <= claimed_count <= 2**m:
+        raise ValueError(f"claimed count {claimed_count} is outside [0, 2^{m}]")
     occurrences = [0] * m
     for clause in cnf.clauses:
         for lit in clause:

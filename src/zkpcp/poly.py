@@ -90,9 +90,6 @@ class MultiPoly:
         """The polynomial P(X_m, ..., X_1)."""
         return MultiPoly(self.p, np.transpose(self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
 
 @lru_cache(maxsize=64)
 def power_table(p: int, degree: int) -> np.ndarray:

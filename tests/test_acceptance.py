@@ -23,6 +23,7 @@ from zkpcp.pcp import (
     arithmetize,
     line_test_count,
     pcp_for_sharp_sat,
+    proof_from_tables,
     prove,
     prove_shifted,
     verify,
@@ -406,7 +407,8 @@ def test_criterion_7_soundness_empirical():
     for seed in range(1000):
         proof = prove(poly, params, random.Random(f"h:{seed}"))
         rng = np.random.default_rng(seed)
-        proof.q = rng.integers(0, 101, size=proof.q.shape).astype(np.int64)
+        q = rng.integers(0, 101, size=proof.q.shape)
+        proof = proof_from_tables(params, proof.sigma, q, proof.t)
         res = verify(poly.eval, params, proof, random.Random(f"hv:{seed}"))
         caught += not res.accepted
     dt = time.time() - t0

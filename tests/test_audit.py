@@ -188,12 +188,14 @@ def test_real_law_matches_sampled_proofs():
     from zkpcp.linalg import kernel_basis
 
     dual = kernel_basis(dirs, 5)
-    from zkpcp.pcp import prove
+    from zkpcp.pcp import PcpParams, prove
 
     import random as _r
 
+    # the same mask law, with the reading nodes a proof's header needs
+    pcp_params = PcpParams(params.p, params.m, params.d, params.h)
     for seed in range(30):
-        proof = prove(poly, params, _r.Random(seed))
+        proof = prove(poly, pcp_params, _r.Random(seed))
         ans = np.array(
             [
                 proof.sigma_at((3,)),

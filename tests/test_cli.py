@@ -97,6 +97,27 @@ def test_prove_refuses_a_count_the_formula_does_not_have(tmp_path):
     assert code == 0 and recs[-1]["claimed_count"] == 4 and out.exists()
 
 
+def test_prove_and_verify_refuse_a_count_outside_the_cube(tmp_path):
+    # 4 models over 3 variables; 101 and -93 are both 4 mod 97
+    cnf = tmp_path / "four.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    good = tmp_path / "good.bin"
+    code, _ = run_cli("prove", "--cnf", str(cnf), "--field", "97", "--count", "4",
+                      "--out", str(good))
+    assert code == 0
+    for count in ("101", "-93"):
+        for shift in ((), ("--dishonest-shift",)):
+            out = tmp_path / "p.bin"
+            code, recs = run_cli("prove", "--cnf", str(cnf), "--field", "97",
+                                 "--count", count, "--out", str(out), *shift)
+            assert code == 2 and [r["record"] for r in recs] == ["error"]
+            assert "outside [0, 2^3]" in recs[-1]["message"]
+            assert not out.exists()
+        code, recs = run_cli("verify", "--cnf", str(cnf), "--field", "97",
+                             "--count", count, "--proof", str(good))
+        assert code == 2 and [r["record"] for r in recs] == ["error"]
+
+
 def test_dishonest_shift_rejected_in_most_trials(cnf_file, tmp_path):
     out = str(tmp_path / "cheat.bin")
     code, _ = run_cli(

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -29,6 +29,7 @@ from zkpcp.pcp import (
     deserialize_proof,
     parse_dimacs,
     pcp_for_sharp_sat,
+    proof_from_tables,
     prove,
     prove_shifted,
     serialize_proof,
@@ -202,6 +203,17 @@ def test_sharp_sat_parameter_floor():
         pcp_for_sharp_sat(cnf, 7, p=7)  # below the aliasing floor
 
 
+def test_sharp_sat_refuses_a_count_outside_the_cube():
+    # 4 models over 3 variables; 101 and -93 are both 4 mod 97
+    cnf = CnfInstance(3, ((1, -2), (2, 3)))
+    assert cnf.model_count() == 4
+    for count in (101, -93, 9, -1):
+        with pytest.raises(ValueError, match="outside"):
+            pcp_for_sharp_sat(cnf, count, p=97)
+    for count in (0, 4, 8):
+        assert pcp_for_sharp_sat(cnf, count, p=97).claimed_count == count
+
+
 def test_shifted_prover_rejected_often():
     cnf = CnfInstance(2, ((1, 2),))
     bundle = pcp_for_sharp_sat(cnf, 2)  # wrong claim: truth is 3
@@ -224,7 +236,8 @@ def test_random_q_corruption_caught_by_line_test():
     for seed in range(trials):
         proof = prove(poly, params, random.Random(seed))
         rng = np.random.default_rng(seed)
-        proof.q = rng.integers(0, 61, size=proof.q.shape).astype(np.int64)
+        q = rng.integers(0, 61, size=proof.q.shape)
+        proof = proof_from_tables(params, proof.sigma, q, proof.t)
         res = verify(poly.eval, params, proof, random.Random(9000 + seed))
         caught += not res.accepted
     assert caught >= trials // 2
@@ -249,12 +262,14 @@ def test_serialization_roundtrip_and_errors():
 def test_deserialize_rejects_entries_outside_the_field():
     params = PcpParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
+    proof = prove(poly, params, random.Random(3))
     for table in ("q", "sigma1"):
-        forged = prove(poly, params, random.Random(3))
+        sigma, q = proof.sigma, proof.q
         if table == "q":
-            forged.q = forged.q + 61
+            q = q + 61
         else:
-            forged.sigma[1] = forged.sigma[1] + 61
+            sigma[1] = sigma[1] + 61
+        forged = proof_from_tables(params, sigma, q, proof.t)
         # the shifted entries agree mod p, so a trusting decoder accepts them
         assert verify(poly.eval, params, forged, random.Random(4)).accepted
         with pytest.raises(ValueError, match="field element"):
@@ -441,7 +456,7 @@ class CountingOracle(ProofOracle):
 
 def test_verifier_reads_each_logged_entry_once():
     bundle, proof = _w1_bundle_and_proof()
-    counting = CountingOracle(proof.params, proof.sigma, proof.q, proof.t)
+    counting = CountingOracle(proof.params, proof.wire)
     result = bundle.verify(counting, random.Random(1))
     assert result.accepted
     assert counting.reads == len(result.queries) == 5674
@@ -454,16 +469,19 @@ def test_serialize_ignores_table_layout():
     blob = serialize_proof(proof)
     assert all(t.flags.c_contiguous for t in [*proof.sigma, proof.q, *proof.t])
     # the same tables as strided views serialise to the same bytes
-    proof.q = np.ascontiguousarray(proof.q.T).T
-    proof.t = [np.flip(np.flip(t, 1).copy(), 1) for t in proof.t]
-    proof.sigma[2] = np.asfortranarray(proof.sigma[2])
-    assert not any(t.flags.c_contiguous for t in [proof.q, proof.sigma[2], *proof.t])
-    assert serialize_proof(proof) == blob
+    sigma, q = proof.sigma, np.ascontiguousarray(proof.q.T).T
+    t = [np.flip(np.flip(x, 1).copy(), 1) for x in proof.t]
+    sigma[2] = np.asfortranarray(sigma[2])
+    assert not any(x.flags.c_contiguous for x in [q, sigma[2], *t])
+    strided = proof_from_tables(params, sigma, q, t)
+    assert serialize_proof(strided) == blob == copy_path_wire(proof)
     # an entry outside [0, p) is written as its 64-bit two's complement
-    proof.q = proof.q - 11
-    q_bytes = serialize_proof(proof)[-8 * 3 * 121 : -8 * 2 * 121]
-    assert q_bytes == proof.q.reshape(-1).astype("<u8").tobytes()
-    assert q_bytes[:8] == (2**64 + int(proof.q[0, 0])).to_bytes(8, "little")
+    q = q - 11
+    shifted = serialize_proof(proof_from_tables(params, sigma, q, t))
+    assert bytes(shifted) == copy_path_wire(proof, [*sigma, q, *t])
+    q_bytes = shifted[-8 * 3 * 121 : -8 * 2 * 121]
+    assert q_bytes == q.reshape(-1).astype("<u8").tobytes()
+    assert q_bytes[:8] == (2**64 + int(q[0, 0])).to_bytes(8, "little")
 
 
 def test_deserialized_tables_are_read_only_views():
@@ -529,28 +547,29 @@ def test_deserialize_copies_buffers_that_can_change():
     assert serialize_proof(deserialize_proof(spread)) == wire
 
 
-def copy_path_wire(proof):
+def copy_path_wire(proof, tables=None):
     """The wire bytes written table by table, as the codec wrote them before
-    prove wrote the image itself."""
+    prove wrote the image itself: of a proof, or of its parameters with
+    ``tables`` (in wire order) in place of its own."""
     params = proof.params
+    if tables is None:
+        tables = [*proof.sigma, proof.q, *proof.t]
     head = [params.p, params.m, params.d, len(params.h), *params.h,
             len(params.nodes), *params.nodes]
-    tables = [*proof.sigma, proof.q, *proof.t]
     return b"ZKP1" + struct.pack(f"<{len(head)}Q", *head) + b"".join(
         np.ascontiguousarray(t, dtype="<i8").tobytes() for t in tables
     )
 
 
 def test_prove_tables_are_read_only():
-    for params in (PcpParams(11, 2, 3, (0, 1)), SumcheckParams(11, 2, 3, (0, 1))):
-        proof = prove(xy_poly(11), params, random.Random(0))
-        for t in [*proof.sigma, proof.q, *proof.t]:
-            assert t.dtype == np.int64 and t.flags.c_contiguous and t.flags.aligned
-            assert not t.flags.writeable
-            with pytest.raises(ValueError):
-                t[(0,) * t.ndim] = 1
-            with pytest.raises(ValueError):
-                t.flags.writeable = True
+    proof = prove(xy_poly(11), PcpParams(11, 2, 3, (0, 1)), random.Random(0))
+    for t in [*proof.sigma, proof.q, *proof.t]:
+        assert t.dtype == np.int64 and t.flags.c_contiguous and t.flags.aligned
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1
+        with pytest.raises(ValueError):
+            t.flags.writeable = True
 
 
 def test_serialize_returns_the_image_prove_wrote():
@@ -567,64 +586,69 @@ def test_serialize_returns_the_image_prove_wrote():
     assert bytes(serialize_proof(back)) == bytes(blob)
 
 
-def _changed_proofs(params, poly):
-    """(name, proof) pairs, each no longer holding what prove wrote."""
-    other = prove(poly, params, random.Random(7))
-    proof = prove(poly, params, random.Random(1))
-    proof.q = proof.q.copy()
-    yield "q reassigned", proof
-    proof = prove(poly, params, random.Random(1))
-    proof.sigma[1] = other.sigma[1]
-    yield "sigma[1] replaced", proof
-    proof = prove(poly, params, random.Random(1))
-    proof.params = PcpParams(params.p, params.m, params.d, params.h, (0, 1, 2, 4))
-    yield "params replaced", proof
-    proof = prove(poly, params, random.Random(1))
-    proof.params = PcpParams(params.p, params.m, params.d, params.h)
-    yield "params replaced by an equal object", proof
-    proof = prove(poly, params, random.Random(1))
-    yield "foreign tables", ProofOracle(
-        params, [t.copy() for t in proof.sigma], proof.q.copy(), [t.copy() for t in proof.t]
-    )
-    yield "the same tables in a new oracle", ProofOracle(
-        proof.params, proof.sigma, proof.q, proof.t
-    )
-    yield "deep copy", copy.deepcopy(prove(poly, params, random.Random(1)))
-    # a deep copy's tables are writable copies, whatever its buffer's flags
-    proof = copy.deepcopy(prove(poly, params, random.Random(1)))
-    proof.q[0, 0] = (proof.q[0, 0] + 1) % params.p
-    proof._image[0].flags.writeable = False
-    yield "deep copy edited", proof
+def test_serialize_of_a_proof_decoded_in_place_shares_its_input():
+    params = PcpParams(11, 2, 3, (0, 1))
+    blob = serialize_proof(prove(xy_poly(11), params, random.Random(1)))
+    for fixed in (blob, bytes(blob)):
+        again = serialize_proof(deserialize_proof(fixed))
+        assert np.shares_memory(np.frombuffer(again, np.uint8), np.frombuffer(fixed, np.uint8))
+        assert again.readonly and again.format == "B" and again == fixed
 
 
-def test_serialize_copies_a_proof_that_changed():
+def test_a_proof_cannot_change():
     params = PcpParams(11, 2, 3, (0, 1))
     poly = xy_poly(11)
-    image = serialize_proof(prove(poly, params, random.Random(1)))
-    for name, proof in _changed_proofs(params, poly):
-        blob = serialize_proof(proof)
-        assert not any(
-            np.shares_memory(blob, t) for t in [*proof.sigma, proof.q, *proof.t]
-        ), name
-        assert bytes(blob) == copy_path_wire(proof), name
-        if name in ("q reassigned", "foreign tables", "the same tables in a new oracle",
-                    "deep copy"):
-            assert bytes(blob) == bytes(image), name
-    # a table of the wrong shape is refused, not broadcast into its slot
     proof = prove(poly, params, random.Random(1))
-    proof.sigma[2] = proof.sigma[1]
-    with pytest.raises(ValueError, match="shapes"):
-        serialize_proof(proof)
-    proof = prove(poly, params, random.Random(1))
+    want = bytes(serialize_proof(proof))
+    queries = verify(poly.eval, params, proof, random.Random(2)).queries
+    other = prove(poly, params, random.Random(7))
+    for name, value in [("q", proof.q.copy()), ("wire", other.wire),
+                        ("params", PcpParams(11, 2, 3, (0, 1), (0, 1, 2, 4)))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(proof, name, value)
+    proof.sigma[1] = other.sigma[1]
+    proof.t[0] = other.t[0]
     proof.t.append(proof.q)
+    assert verify(poly.eval, params, proof, random.Random(2)).queries == queries
+    assert bytes(serialize_proof(proof)) == want == copy_path_wire(proof)
+    # the wire must carry the header of the parameters it is given with
+    with pytest.raises(ValueError, match="image of the parameters"):
+        ProofOracle(PcpParams(11, 2, 3, (0, 1), (0, 1, 2, 4)), proof.wire)
+    with pytest.raises(ValueError, match="image of the parameters"):
+        ProofOracle(params, memoryview(bytearray(proof.wire)))
+
+
+def test_proof_from_tables_copies_into_an_image_of_its_own():
+    # criterion 7 corrupts q this way on every trial
+    params = PcpParams(101, 2, 3, (0, 1))
+    poly = xy_poly(101)
+    for seed in range(3):
+        proof = prove(poly, params, random.Random(f"h:{seed}"))
+        written = bytes(proof.wire)
+        q = np.random.default_rng(seed).integers(0, 101, proof.q.shape)
+        forged = proof_from_tables(params, proof.sigma, q, proof.t)
+        assert not np.shares_memory(forged.wire.obj, proof.wire.obj)
+        assert bytes(forged.wire) == copy_path_wire(proof, [*proof.sigma, q, *proof.t])
+        assert bytes(proof.wire) == written
+    # a table of the wrong shape is refused, not broadcast into its slot
+    sigma = proof.sigma
+    sigma[2] = sigma[1]
     with pytest.raises(ValueError, match="shapes"):
-        serialize_proof(proof)
+        proof_from_tables(params, sigma, proof.q, proof.t)
+    with pytest.raises(ValueError, match="shapes"):
+        proof_from_tables(params, proof.sigma, proof.q, proof.t + [proof.q])
 
 
-def test_serialize_refuses_a_proof_without_reading_nodes():
-    proof = prove(xy_poly(11), SumcheckParams(11, 2, 3, (0, 1)), random.Random(0))
+def test_prove_refuses_params_without_reading_nodes():
+    # the wire header names the verifier's reading nodes
+    params = SumcheckParams(11, 2, 3, (0, 1))
+    proof = prove(xy_poly(11), PcpParams(11, 2, 3, (0, 1)), random.Random(0))
     with pytest.raises(ValueError, match="reading nodes"):
-        serialize_proof(proof)
+        prove(xy_poly(11), params, random.Random(0))
+    with pytest.raises(ValueError, match="reading nodes"):
+        proof_from_tables(params, proof.sigma, proof.q, proof.t)
+    with pytest.raises(ValueError, match="reading nodes"):
+        ProofOracle(params, proof.wire)
 
 
 def test_deserialized_copies_are_aligned_images():
@@ -650,9 +674,8 @@ def _held(kind, params, poly):
         return deserialize_proof(serialize_proof(proof))
     if kind == "frombuffer view":
         return np.frombuffer(serialize_proof(proof), np.uint8)
-    if kind == "serialize copy":
-        proof.q = proof.q.copy()
-        return serialize_proof(proof)
+    if kind == "proof_from_tables wire":
+        return serialize_proof(proof_from_tables(params, proof.sigma, proof.q, proof.t))
     if kind == "proof decoded from a copy":
         return deserialize_proof(bytearray(serialize_proof(proof)))
     raise AssertionError(kind)
@@ -668,7 +691,7 @@ def test_held_images_keep_their_bytes_across_later_proves():
     params = PcpParams(11, 2, 3, (0, 1))
     poly = xy_poly(11)
     for kind in ("table view", "serialize memoryview", "proof decoded in place",
-                 "frombuffer view", "serialize copy", "proof decoded from a copy"):
+                 "frombuffer view", "proof_from_tables wire", "proof decoded from a copy"):
         held = _held(kind, params, poly)
         before = [a.tobytes() for a in _held_arrays(held)]
         for seed in (2, 3):
@@ -686,10 +709,10 @@ def test_a_dropped_image_is_reused():
     poly = xy_poly(11)
     want = bytes(serialize_proof(prove(poly, params, random.Random(2))))
     proof = prove(poly, params, random.Random(1))
-    image = weakref.ref(proof._image[0])
+    image = weakref.ref(proof.wire.obj)
     del proof
     proof = prove(poly, params, random.Random(2))
-    assert proof._image[0] is image() and np.shares_memory(image(), proof.q)
+    assert proof.wire.obj is image() and np.shares_memory(image(), proof.q)
     # a reused image is frozen again and handed out as the wire image
     assert not image().flags.writeable
     assert not any(t.flags.writeable for t in [*proof.sigma, proof.q, *proof.t])
@@ -705,12 +728,12 @@ def test_at_most_two_images_stay_pooled():
     assert len(pcp._POOL) == 2
     del proofs
     proof = prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(3))
-    assert len(pcp._POOL) <= 2 and pcp._POOL[-1] is proof._image[0]
+    assert len(pcp._POOL) <= 2 and pcp._POOL[-1] is proof.wire.obj
     # both same-size images were free: one is reused, the other dropped
     a, b = (prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (4, 5))
     del proof, a, b
     proof = prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(6))
-    assert len(pcp._POOL) == 1 and pcp._POOL[0] is proof._image[0]
+    assert len(pcp._POOL) == 1 and pcp._POOL[0] is proof.wire.obj
 
 
 def test_concurrent_proves_match_a_sequential_run(monkeypatch):
@@ -751,21 +774,6 @@ def test_concurrent_proves_match_a_sequential_run(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == want
-
-
-def test_a_reassigned_table_serialises_through_the_copy_path():
-    # criterion 7 corrupts q by reassignment on every trial
-    params = PcpParams(101, 2, 3, (0, 1))
-    poly = xy_poly(101)
-    for seed in range(3):
-        proof = prove(poly, params, random.Random(f"h:{seed}"))
-        image = proof._image[0]
-        written = image.tobytes()
-        proof.q = np.random.default_rng(seed).integers(0, 101, proof.q.shape)
-        blob = serialize_proof(proof)
-        assert not np.shares_memory(blob, image)
-        assert bytes(blob) == copy_path_wire(proof)
-        assert image.tobytes() == written
 
 
 def test_simulator_examples():
@@ -902,8 +910,6 @@ def test_honest_verifier_accepts_simulated_view():
 
 
 def test_view_record_replayable():
-    from zkpcp.pcp import ViewRecord
-
     params = SumcheckParams(5, 2, 3, (0, 1))
     poly = xy_poly(5)
     steps = [("sigma", (2,)), ("q", (2, 3)), ("t0", (3, 2))]
@@ -912,14 +918,14 @@ def test_view_record_replayable():
         sim = SimulatorSession(params, poly.eval, 1, random.Random(seed))
         for o, pt in steps:
             sim.query(o, pt)
-        return ViewRecord.from_session(seed, sim)
+        return seed, tuple(sim.transcript)
 
     assert run(9) == run(9)
     # the first sigma answer is a free coordinate, drawn as the seed's first
     # field sample, and seeds 9 and 10 draw different first samples
     for seed in (9, 10):
-        assert run(seed).transcript[0][2] == Field(5).sample(random.Random(seed))
-    assert run(9).transcript != run(10).transcript
+        assert run(seed)[1][0][2] == Field(5).sample(random.Random(seed))
+    assert run(9)[1] != run(10)[1]
 
 
 def test_simulator_refuses_queries_no_proof_answers():
