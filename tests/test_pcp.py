@@ -8,6 +8,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from zkpcp.pcp import (
 from zkpcp.poly import (
     MultiPoly,
     eval_univariate,
+    power_table,
     subcube_sum,
     univariate_from_roots,
     zero_code_poly_basis,
@@ -385,24 +387,41 @@ def test_grid_eval_matches_int64_generator(p, shape):
         assert [int(table[pt]) for pt in pts] == want.tolist()
 
 
-@pytest.mark.parametrize(
-    "p, shape", [(101, (4, 4, 4)), (2039, (4, 3)), (2053, (4, 3)), (131071, (9,))]
-)
+def _int64_grid(coeffs, p):
+    """The evaluation table by int64 contractions, reduced after each axis."""
+    table = coeffs
+    for axis in reversed(range(coeffs.ndim)):
+        v = power_table(p, table.shape[axis] - 1)
+        table = np.moveaxis(np.tensordot(v, table, axes=([1], [axis])), 0, axis) % p
+    return table
+
+
+# (p, shape) -> blocks of _grid_eval's last contraction
+GRID_BLOCKS = {
+    (101, (4, 4, 4)): 17,  # W1, float32: blocks of 6 rows, the last of 5
+    (2039, (4, 3)): 64,  # float32: blocks of 32 rows, the last of 23
+    (2053, (4, 3)): 67,  # float64: blocks of 31 rows, the last of 7
+    (131071, (9,)): 2,  # float64, m = 1: the last block one row short
+    (101, (4,)): 1,  # m = 1: one block of 101 rows
+    (41, (2, 2, 2, 2)): 41,  # rows of 41^3 > GRID_BLOCK entries, one per block
+}
+
+
+@pytest.mark.parametrize("p, shape", list(GRID_BLOCKS))
 def test_grid_eval_into_a_slot_matches_a_fresh_table(p, shape):
     rng = np.random.default_rng(p)
-    poly = MultiPoly(p, rng.integers(0, p, shape))
+    coeffs = rng.integers(0, p, shape)
+    poly = MultiPoly(p, coeffs)
     m = len(shape)
-    fresh = _grid_eval(poly, p)
-    dtype = np.float32 if max(shape) * p * p < 2**24 else np.float64
-    other = np.float64 if dtype is np.float32 else np.float32
-    for scratch_dtype in (None, dtype, other):
-        out = np.full((p,) * m, -1, dtype=np.int64)
-        scratch = None if scratch_dtype is None else np.empty((2, p**m), scratch_dtype)
-        assert _grid_eval(poly, p, out, scratch) is out
-        assert np.array_equal(out, fresh)
-        if scratch_dtype is dtype:
-            # the last contraction ran in the scratch and left the table there
-            assert np.array_equal(scratch[0].reshape(out.shape), out)
+    rows = max(1, pcp.GRID_BLOCK // p ** (m - 1))  # rows of the last contraction
+    assert -(-p // rows) == GRID_BLOCKS[p, shape]
+    out = np.full((p,) * m, -1, dtype=np.int64)
+    assert _grid_eval(poly, p, out) is out
+    assert np.array_equal(out, _int64_grid(coeffs, p))
+    assert np.array_equal(out, _grid_eval(poly, p))
+    strided = np.empty(2 * p**m, np.int64)[::2].reshape((p,) * m)
+    with pytest.raises(ValueError):
+        _grid_eval(poly, p, strided)
 
 
 def test_grid_eval_refuses_past_the_float64_bound():
@@ -461,6 +480,37 @@ def test_verifier_reads_each_logged_entry_once():
     assert result.accepted
     assert counting.reads == len(result.queries) == 5674
     assert result.queries == bundle.verify(proof, random.Random(1)).queries
+
+
+def test_oracle_reads_return_ints_and_refuse_points_no_proof_holds():
+    params = PcpParams(5, 2, 3, (0, 1))
+    proof = prove(xy_poly(5), params, random.Random(1))
+    blob = serialize_proof(proof)
+    in_place = deserialize_proof(bytes(blob))
+    # a bytes object's data is 8-aligned and the tables start 4 bytes off
+    assert not in_place.q.flags.aligned
+    copied = deserialize_proof(bytearray(blob))
+    assert copied.q.flags.aligned and not np.shares_memory(copied.q, proof.q)
+    for oracle in (proof, in_place, copied):
+        for pt in itertools.chain.from_iterable(
+            itertools.product(range(5), repeat=k) for k in range(3)
+        ):
+            got = oracle.sigma_at(pt)
+            assert type(got) is int and got == int(proof.sigma[len(pt)][pt])
+        for pt in itertools.product(range(5), repeat=2):
+            reads = [oracle.q_at(pt), oracle.t_at(0, pt), oracle.t_at(1, pt)]
+            assert all(type(v) is int for v in reads)
+            assert reads == [int(proof.q[pt]), int(proof.t[0][pt]), int(proof.t[1][pt])]
+        for pt in [(5,), (-1,), (0, 5), (2, -3), (0, 0, 0)]:
+            with pytest.raises(ValueError):
+                oracle.sigma_at(pt)
+        # (3,) would be a flat index into a 2-d table
+        for pt in [(), (3,), (0, 5), (5, 0), (0, 0, 0)]:
+            for read in (oracle.q_at, partial(oracle.t_at, 0), partial(oracle.t_at, 1)):
+                with pytest.raises(ValueError):
+                    read(pt)
+        # a negative coordinate wraps in the mask tables (not checked per read)
+        assert oracle.q_at((-1, 0)) == oracle.q_at((4, 0))
 
 
 def test_serialize_ignores_table_layout():
