@@ -33,9 +33,17 @@ def rev_cube_intersection_size(x: Point, y: Point, a: ProductSet) -> int:
     coordinates meet, it is a single point or empty depending on agreement.
     """
     require_reversal_symmetric(a)
-    m = a.m
     if not a.contains_prefix(x) or not a.contains_prefix(y):
-        raise ValueError("points must lie in the prefix domain of the cube")
+        raise ValueError(_OUTSIDE_PREFIXES)
+    return _rev_overlap(x, y, a)
+
+
+_OUTSIDE_PREFIXES = "points must lie in the prefix domain of the cube"
+
+
+def _rev_overlap(x: Point, y: Point, a: ProductSet) -> int:
+    """``rev_cube_intersection_size`` on a checked cube and checked points."""
+    m = a.m
     if len(x) + len(y) < m:
         n = 1
         for j in range(len(x), m - len(y)):
@@ -131,11 +139,13 @@ def sym_sets(g: Sequence[Point], a: ProductSet) -> SymFamily:
     g = sort_points(dedup_points(g))
     if not is_prefix_free(g):
         raise ValueError("input must be prefix-free")
+    if not all(a.contains_prefix(x) for x in g):
+        raise ValueError(_OUTSIDE_PREFIXES)
     n = len(g)
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if rev_cube_intersection_size(g[i], g[j], a) != 0:
+            if _rev_overlap(g[i], g[j], a) != 0:
                 adj[i].append(j)
                 adj[j].append(i)
     seen = [False] * n
@@ -156,9 +166,7 @@ def sym_sets(g: Sequence[Point], a: ProductSet) -> SymFamily:
     out = []
     for comp in comps:
         members = [g[i] for i in comp]
-        overlap = sum(
-            rev_cube_intersection_size(x, y, a) for x in members for y in members
-        )
+        overlap = sum(_rev_overlap(x, y, a) for x in members for y in members)
         if overlap == union_size(members, a):
             out.append(tuple(members))
     return SymFamily(tuple(out))

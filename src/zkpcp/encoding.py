@@ -164,12 +164,18 @@ def sigma_rm_spec(fld: Field, m: int, dv: Sequence[int], a: ProductSet) -> Encod
 def antisym_spec(
     fld: Field, a: ProductSet, message_oracle: Callable[[Point], int]
 ) -> EncodingSpec:
-    return EncodingSpec(
-        "sigma-antisym",
-        fld,
-        lambda pts: antisym_locate(fld, a, pts),
-        message_oracle,
-    )
+    """The antisymmetric masking encoding. The spec owns one map from each
+    query tuple to its located output, so a repeated query set is located
+    once over the spec's lifetime."""
+    located: dict[tuple[Point, ...], LocatorOutput] = {}
+
+    def locate(pts: Sequence[Point]) -> LocatorOutput:
+        key = tuple(map(tuple, pts))
+        if key not in located:
+            located[key] = antisym_locate(fld, a, key)
+        return located[key]
+
+    return EncodingSpec("sigma-antisym", fld, locate, message_oracle)
 
 
 def enc_pcp_spec(

@@ -219,7 +219,8 @@ class ProofOracle:
     # holds, except that q_at and t_at wrap a negative coordinate as numpy
     # does: checking each coordinate of every read added 1.3-1.5 ms to a
     # 5674-read W1 verify. ``item`` takes a one-coordinate point as a flat
-    # index, so their arity is checked before it.
+    # index, so their arity is checked before it. t_at refuses a table index
+    # outside [0, m): a negative one would wrap like a coordinate.
     def sigma_at(self, pt: Point) -> int:
         p, m = self.params.p, self.params.m
         if len(pt) > m or not all(0 <= c < p for c in pt):
@@ -235,15 +236,22 @@ class ProofOracle:
             raise ValueError(_MASK_READ) from None
 
     def t_at(self, i: int, pt: Point) -> int:
-        if len(pt) != self.params.m:
-            raise ValueError(_MASK_READ)
+        if i < 0 or len(pt) != self.params.m:
+            raise ValueError(_t_read(i, self.params.m))
         try:
             return self._t[i].item(pt)
         except IndexError:
-            raise ValueError(_MASK_READ) from None
+            raise ValueError(_t_read(i, self.params.m)) from None
 
 
 _MASK_READ = "mask tables are read at full-arity points with coordinates below p"
+
+
+def _t_read(i: int, m: int) -> str:
+    """Why ``t_at(i, pt)`` refused a read: no table i, else a bad point."""
+    if 0 <= i < m:
+        return _MASK_READ
+    return f"no mask table t{i}: the tables are t0..t{m - 1}"
 
 
 def _table_shapes(p: int, m: int) -> list[tuple[int, ...]]:
@@ -603,10 +611,21 @@ class ViewState:
         include_mask_row: bool = True,
     ):
         self.params = params
-        self.f_eval = f_eval
+        # F at each point evaluated so far. The spec's message oracle and the
+        # mask rows both read F through ``f_at``, a closure rather than a
+        # method, so the spec holds no reference back to the view.
+        f_vals: dict[Point, int] = {}
+
+        def f_at(pt: Point) -> int:
+            """F(pt), evaluated once per point over the view and its forks."""
+            if pt not in f_vals:
+                f_vals[pt] = f_eval(pt)
+            return f_vals[pt]
+
+        self.f_vals, self.f_at = f_vals, f_at
         self.include_mask_row = include_mask_row
         self.spec: EncodingSpec = enc_pcp_spec(
-            params.fld, params.m, params.d, params.h, f_eval, gamma
+            params.fld, params.m, params.d, params.h, f_at, gamma
         )
         self.oracles = ("sigma", "q") + tuple(f"t{i}" for i in range(params.m))
         self.coords: list[Coord] = []
@@ -620,9 +639,9 @@ class ViewState:
     def fork(self) -> "ViewState":
         """An independent copy, for continuing the view along another branch.
 
-        The copy shares the spec's located layers and ``table_bases``: both
-        hold pure functions of the parameters and the points, so they stay
-        valid on every branch.
+        The copy shares the spec's located layers, ``table_bases`` and
+        ``f_vals``: all hold pure functions of the parameters and the points,
+        so they stay valid on every branch.
         """
         other = copy.copy(self)
         other.coords = list(self.coords)
@@ -701,12 +720,12 @@ class SimulatorSession:
         self.f_eval = f_eval
         self.gamma = gamma % params.p
         self.rng = rng
+        self.view = ViewState(params, f_eval, self.gamma, include_mask_row)
         total = 0
         for pt in params.cube.points():
-            total = (total + f_eval(pt)) % params.p
+            total = (total + self.view.f_at(pt)) % params.p
         if total != self.gamma:
             raise ValueError("simulator is only defined on true statements")
-        self.view = ViewState(params, f_eval, self.gamma, include_mask_row)
         # values[j] answers view.coords[j]
         self.values: list[int] = []
         self.messages_read: set[Point] = set()
@@ -795,7 +814,7 @@ def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
     for i in range(params.m):
         row[view.index[(f"t{i}", pt)]] = eval_univariate(zh, pt[i], p)
     row[view.index[("sigma", pt)]] = -1
-    return row % p, (-view.f_eval(pt)) % p
+    return row % p, (-view.f_at(pt)) % p
 
 
 def serialize_proof(proof: ProofOracle) -> memoryview:

@@ -91,8 +91,18 @@ def cd_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
 
     Duplicate points are removed first; the returned domain preserves the
     caller's order.
+
+    At most min(dv) + 1 distinct canonical points of the view's arity carry
+    no constraint, so their basis is empty with no elimination: for each
+    point x, the product over the other points y of one factor
+    (X_i - y_i) / (x_i - y_i), on an axis where they differ, has individual
+    degree at most |dom| - 1 <= d_i and is the indicator of x on dom.
     """
     dom = tuple(dedup_points(pts))
+    if len(dom) <= min(view.dv, default=0) + 1 and all(
+        len(pt) == view.m and all(0 <= c < view.p for c in pt) for pt in dom
+    ):
+        return ConstraintBasis(dom, np.zeros((0, len(dom)), dtype=np.int64))
     g = rm_generator(view, dom)
     z = kernel_basis(g.T, view.p)
     return ConstraintBasis(dom, z)

@@ -131,9 +131,10 @@ def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOut
 
     Search runs the decision procedure at reduced degree over prefixes of the
     product set in depth-first order (factors in index order, elements in
-    field-value order); grid points inside the query set are systematic and
-    included directly. |R| <= |I| always. A nonempty query set inside the
-    product set is answered by ``systematic_locate``.
+    field-value order), and only when the whole product set is flagged;
+    grid points inside the query set are systematic and included directly.
+    |R| <= |I| always. A nonempty query set inside the product set is
+    answered by ``systematic_locate``.
     """
     require_locator_view(view, a)
     pts = [pt for pt in dedup_points(pts)]
@@ -171,8 +172,12 @@ def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> Locator
                 found.extend(search(prefix + (s_val,), level + 1))
         return found
 
-    hits = search((), 0)
-    r_list = list(hits)
+    # Constraints are monotone in the grid: when the whole product set is
+    # unconstrained, so is every subgrid, and the search would flag nothing.
+    # require_locator_view gives d'_i >= |A_i| - 1, which the test needs.
+    # At arity 0 the root is the search's one leaf, which it keeps untested.
+    root_flagged = view.m == 0 or check_constraints(dview, iprime, a)
+    r_list = search((), 0) if root_flagged else []
     for pt in pts:
         if a.contains(pt) and pt not in r_list:
             r_list.append(pt)

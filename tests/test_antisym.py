@@ -55,6 +55,15 @@ def test_rev_cube_rejects_asymmetric_cube():
         rev_cube_intersection_size((), (), a)
 
 
+def test_sym_sets_rejects_points_outside_the_prefix_domain():
+    a = hypercube((0, 1), 2)
+    for g in ([(3,)], [(0,), (1, 2)], [(0, 1, 1)]):
+        with pytest.raises(ValueError, match="prefix domain"):
+            sym_sets(g, a)
+    with pytest.raises(ValueError, match="A_i = A_"):
+        sym_sets([(0,)], ProductSet(((0, 1), (0, 2))))
+
+
 def test_prefix_free_identity_when_already_free():
     a = hypercube((0, 1), 2)
     fam = prefix_free([(0, 1), (1,)], a)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -438,3 +440,53 @@ def test_reused_views_gather_the_rows_of_fresh_ones(monkeypatch):
             assert view.table_bases is root.table_bases
     for k in calls:
         assert 0 < spent["reused"][k] < spent["fresh"][k], (k, spent)
+
+
+def test_view_evaluates_f_once_per_point():
+    """A view and its forks share one memo of F: every point is evaluated at
+    most once per script, and a new view starts with nothing evaluated."""
+    params = SumcheckParams(5, 3, 3, (0, 1))
+    rng = np.random.default_rng(6)
+    poly = MultiPoly(5, rng.integers(0, 5, (4, 4, 4)))
+    gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 5
+    evaluated = []
+
+    def f_eval(pt):
+        evaluated.append(pt)
+        return poly.eval(pt)
+
+    total = 0
+    for script in script_battery(params, 20, 0):
+        evaluated.clear()
+        root = ViewState(params, f_eval, gamma)
+        assert root.f_vals == {}
+        for _, steps in enumerate_branches(script):
+            view = root
+            for step in steps:
+                view = view.fork()
+                assert view.f_vals is root.f_vals
+                if view.admit(view.coord(*step)):
+                    gather_state_rows(view)
+        assert len(evaluated) == len(set(evaluated))
+        assert root.f_vals == {pt: poly.eval(pt) for pt in evaluated}
+        total += len(evaluated)
+    assert total > 0
+    # the memo holds no reference back to its view, so a finished view is
+    # freed by reference counting, without waiting for the cycle collector
+    gc.disable()
+    try:
+        view = ViewState(params, f_eval, gamma)
+        view.admit(view.coord("sigma", (1, 2, 3)))
+        gather_state_rows(view)
+        ref = weakref.ref(view)
+        del view
+        assert ref() is None
+    finally:
+        gc.enable()
+    # each session evaluates the cube once, in its own view
+    for _ in range(2):
+        evaluated.clear()
+        session = SimulatorSession(params, f_eval, gamma, random.Random(0))
+        assert sorted(evaluated) == sorted(params.cube.points())
+        session.query("sigma", (2,))
+        assert len(evaluated) == len(set(evaluated))

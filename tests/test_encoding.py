@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from zkpcp.antisym import antisym_locate
 from zkpcp.audit import LinearLaw
 from zkpcp.domains import hypercube
 from zkpcp.encoding import (
@@ -71,6 +72,21 @@ def test_antisym_session_bot_forced():
     spec = antisym_spec(fld, a, lambda q: msg[q])
     for seed in range(8):
         assert SimSession(spec, random.Random(seed)).query(()) == gamma
+
+
+def test_antisym_spec_locates_each_query_tuple_once():
+    fld = Field(5)
+    a = hypercube((0, 1), 2)
+    spec = antisym_spec(fld, a, lambda q: 0)
+    pts = [(0,), (1, 0), ()]
+    first = spec.locator(pts)
+    assert spec.locator([list(q) for q in pts]) is first
+    want = antisym_locate(fld, a, pts)
+    assert (first.r, first.queries) == (want.r, want.queries)
+    assert np.array_equal(first.z, want.z)
+    # another order is another query tuple; another spec starts empty
+    assert spec.locator(pts[::-1]).queries == tuple(pts[::-1])
+    assert antisym_spec(fld, a, lambda q: 0).locator(pts) is not first
 
 
 def test_sample_new_draws_like_field_sample():

@@ -511,6 +511,11 @@ def test_oracle_reads_return_ints_and_refuse_points_no_proof_holds():
                     read(pt)
         # a negative coordinate wraps in the mask tables (not checked per read)
         assert oracle.q_at((-1, 0)) == oracle.q_at((4, 0))
+        # but a table index outside [0, m) names no table
+        for i in (-1, -2, 2, 3):
+            for pt in [(1, 2), (0,)]:
+                with pytest.raises(ValueError, match=f"no mask table t{i}: the tables are t0..t1"):
+                    oracle.t_at(i, pt)
 
 
 def test_serialize_ignores_table_layout():

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zkpcp.domains import ProductSet, a_closure, is_a_closed
 from zkpcp.field import Field
@@ -116,6 +118,43 @@ def test_cd_rm_dedups_points():
     f = Field(5)
     out = cd_rm(CodeView(f, 1, (2,)), [(0,), (0,), (1,)])
     assert out.domain == ((0,), (1,))
+
+
+@st.composite
+def small_point_sets(draw):
+    """A view of arity at most 3 over p in {5, 7, 11} with mixed degrees,
+    and at most min(dv) + 1 distinct points with coordinates in [0, p)."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    m = draw(st.integers(1, 3))
+    dv = tuple(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    point = st.tuples(*[st.integers(0, p - 1)] * m)
+    pts = draw(st.lists(point, max_size=min(dv) + 1, unique=True))
+    return CodeView(Field(p), m, dv), pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_point_sets())
+def test_cd_rm_small_sets_are_unconstrained(case):
+    """The closed form agrees with the elimination it skips."""
+    view, pts = case
+    out = cd_rm(view, pts)
+    want = kernel_basis(rm_generator(view, pts).T, view.p)
+    assert out.domain == tuple(pts)
+    assert out.z.shape == want.shape == (0, len(pts))
+    assert out.z.dtype == want.dtype
+
+
+def test_cd_rm_small_sets_outside_the_closed_form():
+    f = Field(5)
+    # (0,) and (5,) are one field point: the set is small, but its copy
+    # constraint must still be found by elimination
+    out = cd_rm(CodeView(f, 1, (1,)), [(0,), (5,), (0,)])
+    assert out.domain == ((0,), (5,))
+    assert out.z.tolist() == [[1, 4]]
+    # a wrong arity is refused, however small the set
+    for pts in ([(1,)], [(1, 2), (3,)], [(1, 2, 3)]):
+        with pytest.raises(ValueError, match="arity"):
+            cd_rm(CodeView(f, 2, (2, 2)), pts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -155,6 +155,30 @@ def test_rm_locate_locality_and_flag_bounds():
             assert level_count <= len(iprime)
 
 
+def test_unflagged_product_set_flags_no_level_zero_grid():
+    """The searched locator's root test: when the whole product set is
+    unconstrained with the interpolating set, so is every level-0 subgrid,
+    and the search it skips would have flagged nothing."""
+    rng = random.Random(11)
+    unflagged = flagged = 0
+    for _ in range(150):
+        p, m, h = rng.choice([(5, 1, (0, 1)), (5, 2, (0, 1)), (7, 2, (0, 1, 2)), (5, 3, (0, 1))])
+        a = hypercube(h, m)
+        dprime = tuple(rng.randrange(len(h) - 1, len(h) + 2) for _ in range(m))
+        dview = CodeView(Field(p), m, dprime)
+        pool = list(itertools.product(range(p), repeat=m))
+        pts = rng.sample(pool, rng.randrange(1, min(7, len(pool) + 1)))
+        iprime = interpolating_set(dview, pts)
+        if check_constraints(dview, iprime, a):
+            flagged += 1
+            continue
+        unflagged += 1
+        for s_val in a.factors[0]:
+            grid = ProductSet(((s_val,),) + a.factors[1:])
+            assert not check_constraints(dview, iprime, grid)
+    assert unflagged >= 20 and flagged >= 20
+
+
 def test_rm_locate_rejects_low_degree():
     f = Field(5)
     view = CodeView(f, 1, (1,))
