@@ -1,103 +1,5 @@
-"""Masked-sumcheck zero-knowledge PCP toolkit over prime fields."""
+"""Masked-sumcheck zero-knowledge PCP toolkit over prime fields.
 
-from .field import Field, is_prime, next_prime
-from .domains import BOT, Point, ProductSet, a_closure, hypercube, rev_point
-from .poly import MultiPoly, interpolate, lagrange, sample_lde, subcube_sum, vanishing
-from .rm import CodeView, ConstraintBasis, cd_rm, cd_zero_rm, rm_generator
-from .rm_locator import (
-    LocatorOutput,
-    check_constraints,
-    interpolating_set,
-    rm_locate,
-)
-from .sigma_rm import flatten, sigma_rm_locate
-from .antisym import (
-    PrefixFreeFamily,
-    SymFamily,
-    antisym_locate,
-    prefix_free,
-    sym_sets,
-)
-from .encoding import (
-    EncodingSpec,
-    InconsistentQueryAnswers,
-    SimSession,
-    compose,
-    enc_pcp_spec,
-)
-from .pcp import (
-    CnfInstance,
-    PcpParams,
-    ProofOracle,
-    SharpSatPcp,
-    SimulatorSession,
-    SumcheckParams,
-    VerifyResult,
-    arithmetize,
-    deserialize_proof,
-    parse_dimacs,
-    pcp_for_sharp_sat,
-    proof_from_tables,
-    prove,
-    serialize_proof,
-    verify,
-)
-from .audit import AuditReport, audit_script, parse_script, script_battery
-
-__all__ = [
-    "AuditReport",
-    "BOT",
-    "CnfInstance",
-    "CodeView",
-    "ConstraintBasis",
-    "EncodingSpec",
-    "Field",
-    "InconsistentQueryAnswers",
-    "LocatorOutput",
-    "MultiPoly",
-    "PcpParams",
-    "Point",
-    "PrefixFreeFamily",
-    "ProductSet",
-    "ProofOracle",
-    "SharpSatPcp",
-    "SimSession",
-    "SimulatorSession",
-    "SumcheckParams",
-    "SymFamily",
-    "VerifyResult",
-    "a_closure",
-    "antisym_locate",
-    "arithmetize",
-    "audit_script",
-    "cd_rm",
-    "cd_zero_rm",
-    "check_constraints",
-    "compose",
-    "deserialize_proof",
-    "enc_pcp_spec",
-    "flatten",
-    "hypercube",
-    "interpolate",
-    "interpolating_set",
-    "is_prime",
-    "lagrange",
-    "next_prime",
-    "parse_dimacs",
-    "parse_script",
-    "pcp_for_sharp_sat",
-    "prefix_free",
-    "proof_from_tables",
-    "prove",
-    "rev_point",
-    "rm_generator",
-    "rm_locate",
-    "sample_lde",
-    "script_battery",
-    "serialize_proof",
-    "sigma_rm_locate",
-    "subcube_sum",
-    "sym_sets",
-    "vanishing",
-    "verify",
-]
+The package exports nothing itself: import its submodules, such as
+``zkpcp.pcp`` or ``zkpcp.audit``.
+"""

@@ -192,11 +192,15 @@ def complement_prefixes(h: Sequence[Point], a: ProductSet) -> list[Point]:
     return walk(BOT)
 
 
-def enumerate_cube_points(prefixes: Iterable[Point], a: ProductSet, cap: int = 1 << 20) -> list[Point]:
+# the most points enumerate_cube_points lists
+CUBE_POINTS_CAP = 1 << 20
+
+
+def enumerate_cube_points(prefixes: Iterable[Point], a: ProductSet) -> list[Point]:
     out: list[Point] = []
     for pt in prefixes:
-        if len(out) + cube_size(a, pt) > cap:
-            raise ValueError("cube enumeration exceeds the configured cap")
+        if len(out) + cube_size(a, pt) > CUBE_POINTS_CAP:
+            raise ValueError(f"cube enumeration exceeds {CUBE_POINTS_CAP} points")
         out.extend(a.cube_of(pt))
     return out
 

@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domains import Point, rev_point
+from .domains import Point
 from .linalg import AffineSystem, kernel_basis, rank, rref
 from .pcp import SumcheckParams, ViewState, gather_state_rows
-from .poly import MultiPoly, power_table, univariate_from_roots
+from .poly import MultiPoly
 from .rm import CodeView, rm_generator
 
 
@@ -140,50 +140,39 @@ def real_law(
     Answers are affine in the prover's mask coefficients, which are uniform,
     so the law is uniform on offset + row span of the linear map's image.
     The map's rows are code generator rows at full-arity points, over the
-    coefficients of Q and then of T_0, ..., T_{m-1}, each in monomial order.
-    A q or t_i entry is one generator row at its point. A sigma entry at a
-    prefix sums the masked word F + Q - Q(rev) + sum Z_H(X_i) T_i over the
-    prefix's suffix cube: per point, the Q row minus the Q row of the
-    reversed point plus the T_i rows weighted by Z_H(x_i), and for the offset
-    F's generator row times F's coefficients.
+    coefficients of each table of ``params.tables`` in turn, each in
+    monomial order. A table entry is one generator row at its point. A
+    sigma entry at a prefix sums the masked word F + mask over the prefix's
+    suffix cube: per point, the generator rows of its ``params.mask_terms``
+    with their weights, and for the offset F's generator row times F's
+    coefficients.
     """
     p, m = params.p, params.m
-    oracles = {"sigma", "q", *(f"t{i}" for i in range(m))}
-    owner, pts = [], []
+    # per table: (step, point, weight) of each generator row in the map
+    terms: dict = {name: [] for name, _ in params.tables}
+    f_terms = []
     for si, (oracle, pt) in enumerate(steps):
-        if oracle not in oracles:
+        if oracle not in params.oracles:
             raise ValueError(f"unknown oracle {oracle!r} at m={m}")
         pt = tuple(int(c) for c in pt)
-        tails = params.cube.suffix_points(len(pt)) if oracle == "sigma" else [()]
-        for tail in tails:
-            owner.append(si)
-            pts.append(pt + tail)
-    kinds = [steps[si][0] for si in owner]
+        if oracle != "sigma":
+            terms[oracle].append((si, pt, 1))
+            continue
+        for tail in params.cube.suffix_points(len(pt)):
+            f_terms.append((si, pt + tail, 1))
+            for (name, x), w in params.mask_terms(pt + tail):
+                terms[name].append((si, x, w))
 
-    def weight(kind: str) -> np.ndarray:
-        return np.array([k == kind for k in kinds], dtype=np.int64)
+    def rows(dv, entries) -> np.ndarray:
+        """The step rows of one generator: each entry's weighted row added
+        into its step's row."""
+        owner, pts, weights = zip(*entries) if entries else ((), (), ())
+        select = np.zeros((len(steps), len(pts)), dtype=np.int64)
+        select[list(owner), range(len(pts))] = weights
+        return select @ rm_generator(CodeView(params.fld, m, dv), pts) % p
 
-    def gen(dv, at) -> np.ndarray:
-        return rm_generator(CodeView(params.fld, m, dv), at)
-
-    sig = weight("sigma")
-    x = np.array(pts, dtype=np.int64).reshape(len(pts), m) % p
-    zh = univariate_from_roots(params.h, p)
-    zh_at = power_table(p, zh.size - 1)[x] @ zh % p  # Z_H(x_i), shape (n, m)
-    dq = (params.d,) * m
-    blocks = [
-        (sig + weight("q"))[:, None] * gen(dq, pts)
-        - sig[:, None] * gen(dq, map(rev_point, pts))
-    ]
-    for i in range(m):
-        w_t = sig * zh_at[:, i] + weight(f"t{i}")
-        blocks.append(w_t[:, None] * gen(params.t_degree_vector(i), pts))
-    f_at = gen(f_poly.degree_vector, pts) @ f_poly.coeffs.reshape(-1) % p
-    # each step's row sums the rows of its points
-    select = np.arange(len(steps))[:, None] == np.array(owner, dtype=np.int64)
-    select = select.astype(np.int64)
-    l_rows = select @ (np.concatenate(blocks, axis=1) % p) % p
-    off = select @ (sig * f_at) % p
+    l_rows = np.hstack([rows(dv, terms[name]) for name, dv in params.tables])
+    off = rows(f_poly.degree_vector, f_terms) @ f_poly.coeffs.reshape(-1) % p
     # image of the coefficient space: row space of the transposed map
     dirs, piv = rref(l_rows.T, p)
     dirs = dirs[: len(piv)]
@@ -335,7 +324,7 @@ def script_battery(params: SumcheckParams, count: int, seed: int) -> list[Script
     scripts: list[Script] = [
         [ScriptStep("sigma", ())],
         [ScriptStep("sigma", pal)]
-        + [ScriptStep(f"t{i}", pal) for i in range(m)],
+        + [ScriptStep(name, pal) for name, _ in params.tables[1:]],
         [
             ScriptStep("sigma", (off,) + (0,) * (m - 1)),
             ScriptStep("q", (off,) + (0,) * (m - 1)),
@@ -351,7 +340,7 @@ def script_battery(params: SumcheckParams, count: int, seed: int) -> list[Script
             ScriptStep("sigma", (off,) + (1,) * (m - 1)),
         ],
     ]
-    oracles = ["sigma", "q"] + [f"t{i}" for i in range(m)]
+    oracles = list(params.oracles)
 
     def rand_point(full: bool) -> Point:
         ln = m if full else rng.randrange(0, m + 1)

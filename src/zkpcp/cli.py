@@ -1,14 +1,16 @@
 """Command-line front end: prove/verify/simulate plus locator and audit tools.
 
-Every command is deterministic given --seed; Monte Carlo commands derive one
-independent stream per trial from (seed, trial index). Output is one
-self-describing JSON record per line so runs can be diffed mechanically.
+Every command is deterministic, given --seed where it takes one; Monte
+Carlo commands derive one independent stream per trial from (seed, trial
+index). Output is one self-describing JSON record per line so runs can be
+diffed mechanically.
 Exit status 0 means every check in the invocation passed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import stat
@@ -34,6 +36,9 @@ from .rm import CodeView, cd_rm
 from .rm_locator import rm_locate
 from .sigma_rm import sigma_rm_locate
 from .antisym import antisym_locate
+
+# the largest coefficient dimension of the prover's masks that audit-zk audits
+AUDIT_CAP = 1 << 24
 
 
 def emit(record: dict):
@@ -63,6 +68,17 @@ def parse_degrees(text: str, m: int) -> tuple[int, ...]:
     if len(parts) != m:
         raise ValueError("degree vector length must match --m")
     return tuple(parts)
+
+
+def parse_degree(text: str, m: int) -> int:
+    """The one degree bound that simulate and audit-zk use in every
+    variable: one bound, or a vector of m equal ones."""
+    parts = [int(x) for x in text.split(",")]
+    if len(parts) not in (1, m) or len(set(parts)) != 1:
+        raise ValueError(
+            f"--degree must be one bound, or {m} equal ones: this command uses one degree d"
+        )
+    return parts[0]
 
 
 def parse_h(text: str) -> tuple[int, ...]:
@@ -170,7 +186,7 @@ def cmd_simulate(args) -> int:
         f_eval, gamma = bundle.f_eval, bundle.gamma
     else:
         params = SumcheckParams(
-            args.field, args.m, parse_degrees(args.degree, args.m)[0], parse_h(args.h_set)
+            args.field, args.m, parse_degree(args.degree, args.m), parse_h(args.h_set)
         )
         poly, gamma = random_instance(params, args.seed)
         f_eval = poly.eval
@@ -218,27 +234,24 @@ def cmd_simulate(args) -> int:
 def cmd_audit_zk(args) -> int:
     if args.cnf:
         bundle = load_bundle(args)
-        poly, gamma = bundle.poly, bundle.gamma
         params = SumcheckParams(
             bundle.params.p, bundle.params.m, bundle.params.d, bundle.params.h
         )
     else:
         params = SumcheckParams(
-            args.field, args.m, parse_degrees(args.degree, args.m)[0],
-            parse_h(args.h_set),
+            args.field, args.m, parse_degree(args.degree, args.m), parse_h(args.h_set)
         )
-        poly, gamma = random_instance(params, args.seed)
-    coeff_dim = (params.d + 1) ** params.m + params.m * (
-        (params.d + 1) ** (params.m - 1)
-    ) * (params.d - len(params.h) + 1)
-    if coeff_dim > args.cap:
+    # checked before an instance with (d + 1)^m coefficients is built
+    coeff_dim = sum(math.prod(d + 1 for d in dv) for _, dv in params.tables)
+    if coeff_dim > AUDIT_CAP:
         emit(
             {
                 "record": "audit-zk",
-                "error": f"coefficient dimension {coeff_dim} exceeds cap {args.cap}",
+                "error": f"coefficient dimension {coeff_dim} exceeds cap {AUDIT_CAP}",
             }
         )
         return 2
+    poly, gamma = (bundle.poly, bundle.gamma) if args.cnf else random_instance(params, args.seed)
     scripts = []
     if args.script:
         for path in args.script:
@@ -322,15 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="zkpcp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, field_default=None):
+    def common(p, *names, field_default=None):
+        """--field, plus the named shared options."""
         p.add_argument("--field", type=int, default=field_default, help="prime modulus")
-        p.add_argument("--m", type=int, default=2, help="number of variables")
-        p.add_argument("--degree", type=str, default="3", help="degree bound (or comma vector)")
-        p.add_argument("--h-set", type=str, default="0,1", help="summation set, comma separated")
-        p.add_argument("--seed", type=int, default=0)
+        shared = {
+            "--m": dict(type=int, default=2, help="number of variables"),
+            "--degree": dict(type=str, default="3", help="degree bound (or comma vector)"),
+            "--h-set": dict(type=str, default="0,1", help="summation set, comma separated"),
+            "--seed": dict(type=int, default=0),
+        }
+        for name in names:
+            p.add_argument(name, **shared[name])
 
     p = sub.add_parser("prove", help="prove a #SAT claim and write the proof")
-    common(p)
+    common(p, "--seed")
     p.add_argument("--cnf", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -342,15 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("verify", help="verify a proof against a #SAT claim")
-    common(p)
+    common(p, "--seed")
     p.add_argument("--cnf", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--proof", required=True)
     p.add_argument("--trials", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
+    instance = ("--m", "--degree", "--h-set", "--seed")
     p = sub.add_parser("simulate", help="replay a query script against the simulator")
-    common(p, field_default=5)
+    common(p, *instance, field_default=5)
     p.add_argument("--cnf")
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", required=True)
@@ -358,14 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("audit-zk", help="exact real-vs-simulated law comparison")
-    common(p, field_default=3)
+    common(p, *instance, field_default=3)
     p.add_argument("--cnf")
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", action="append", help="script file (repeatable)")
     p.add_argument("--battery", type=int, default=0, help="also run N generated scripts")
-    p.add_argument(
-        "--cap", type=int, default=1 << 24, help="largest coefficient dimension to audit"
-    )
     p.add_argument(
         "--negative-control",
         action="store_true",
@@ -374,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit_zk)
 
     p = sub.add_parser("locate", help="run a constraint locator on a query set")
-    common(p, field_default=5)
+    common(p, "--m", "--degree", "--h-set", field_default=5)
     p.add_argument("--code", choices=["rm", "sigma-rm", "antisym"], required=True)
     p.add_argument("--points", required=True, help="JSON list of points")
     p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("detect", help="run the plain code constraint detector")
-    common(p, field_default=5)
+    common(p, "--m", "--degree", field_default=5)
     p.add_argument("--points", required=True, help="JSON list of points")
     p.set_defaults(func=cmd_detect)
     return top

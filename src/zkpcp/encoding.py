@@ -31,7 +31,6 @@ class InconsistentQueryAnswers(Exception):
 class EncodingSpec:
     """A linear randomised encoding with an attached constraint locator."""
 
-    name: str
     fld: Field
     locator: Callable[[Sequence[Point]], LocatorOutput]
     message_oracle: Optional[Callable[[Point], int]] = None
@@ -106,7 +105,7 @@ class SimSession:
         return self.answers[alpha]
 
 
-def identity_spec(fld: Field, name: str = "identity") -> EncodingSpec:
+def identity_spec(fld: Field) -> EncodingSpec:
     """The encoding that copies its message; locator ties each query to the
     same message position."""
 
@@ -114,10 +113,10 @@ def identity_spec(fld: Field, name: str = "identity") -> EncodingSpec:
         queries = tuple(dedup_points(pts))
         return LocatorOutput(r=queries, queries=queries, z=copy_rows(queries, queries, fld.p))
 
-    return EncodingSpec(name, fld, locate)
+    return EncodingSpec(fld, locate)
 
 
-def compose(inner: EncodingSpec, outer: EncodingSpec, name: str | None = None) -> EncodingSpec:
+def compose(inner: EncodingSpec, outer: EncodingSpec) -> EncodingSpec:
     """Locator composition: locate the outer queries, then locate the outer
     message positions against the inner encoding, stack, and eliminate the
     intermediate layer.
@@ -146,9 +145,7 @@ def compose(inner: EncodingSpec, outer: EncodingSpec, name: str | None = None) -
             z=project_constraints(z, list(range(ni)) + list(range(ni + nm, z.shape[1])), p),
         )
 
-    return EncodingSpec(
-        name or f"{outer.name}∘{inner.name}", inner.fld, locate, inner.message_oracle
-    )
+    return EncodingSpec(inner.fld, locate, inner.message_oracle)
 
 
 def sigma_rm_spec(fld: Field, m: int, dv: Sequence[int], a: ProductSet) -> EncodingSpec:
@@ -156,9 +153,7 @@ def sigma_rm_spec(fld: Field, m: int, dv: Sequence[int], a: ProductSet) -> Encod
     ``sigma_rm_locate``), so each layer is located once over its lifetime."""
     view = CodeView(fld, m, tuple(dv))
     located: dict = {}
-    return EncodingSpec(
-        "sigma-rm", fld, lambda pts: sigma_rm_locate(view, a, pts, located)
-    )
+    return EncodingSpec(fld, lambda pts: sigma_rm_locate(view, a, pts, located))
 
 
 def antisym_spec(
@@ -175,7 +170,7 @@ def antisym_spec(
             located[key] = antisym_locate(fld, a, key)
         return located[key]
 
-    return EncodingSpec("sigma-antisym", fld, locate, message_oracle)
+    return EncodingSpec(fld, locate, message_oracle)
 
 
 def enc_pcp_spec(
@@ -203,4 +198,4 @@ def enc_pcp_spec(
 
     inner = antisym_spec(fld, a, message)
     outer = sigma_rm_spec(fld, m, (d,) * m, a)
-    return compose(inner, outer, name="enc-pcp")
+    return compose(inner, outer)

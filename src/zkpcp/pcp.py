@@ -16,7 +16,7 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -42,19 +42,16 @@ TABLE_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """A CNF formula with a claimed model count."""
+    """A CNF formula."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    claimed_count: int = 0
 
     def __post_init__(self):
         for clause in self.clauses:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range")
-        if self.claimed_count < 0:
-            raise ValueError("claimed count must be nonnegative")
 
     def eval(self, assignment: Sequence[int]) -> int:
         for clause in self.clauses:
@@ -120,7 +117,12 @@ def arithmetize(cnf: CnfInstance, p: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class SumcheckParams:
-    """Common input to the simulator and the audit: (p, m, d, H)."""
+    """Common input to the simulator and the audit: (p, m, d, H).
+
+    It also owns the proof layout: the mask tables and the mask identity
+    that ties them to the proof word, which the prover, the verifier, the
+    simulator and the audit all read from here.
+    """
 
     p: int
     m: int
@@ -151,6 +153,31 @@ class SumcheckParams:
         return tuple(
             self.d - len(self.h) if j == i else self.d for j in range(self.m)
         )
+
+    @cached_property
+    def tables(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The mask tables in wire order, each with its degree vector: Q of
+        individual degree d, then each T_i with the degree in axis i reduced
+        by |H|."""
+        return (("q", (self.d,) * self.m),) + tuple(
+            (f"t{i}", self.t_degree_vector(i)) for i in range(self.m)
+        )
+
+    @cached_property
+    def oracles(self) -> tuple[str, ...]:
+        """Every oracle a query may name: the proof word, then the tables."""
+        return ("sigma",) + tuple(name for name, _ in self.tables)
+
+    def mask_terms(self, pt: Point) -> list[tuple[tuple[str, Point], int]]:
+        """(coordinate, weight) pairs whose weighted sum is the mask at a
+        full-arity point, Q(pt) - Q(rev pt) + sum_i Z_H(pt_i) T_i(pt), in the
+        order the verifier reads them. Weights lie in [0, p); a palindrome
+        names its Q coordinate twice, with weights 1 and p - 1."""
+        p = self.p
+        q, *ts = (name for name, _ in self.tables)
+        return [((q, pt), 1), ((q, rev_point(pt)), p - 1)] + [
+            ((t, pt), math.prod(x - a for a in self.h) % p) for t, x in zip(ts, pt)
+        ]
 
 
 @dataclass(frozen=True)
@@ -473,12 +500,10 @@ def prove(f_poly: MultiPoly, params: PcpParams, rng) -> ProofOracle:
         raise ValueError(f"instance polynomial has arity {f_poly.m}, expected {m}")
     if any(dd > d for dd in f_poly.degree_vector):
         raise ValueError("instance polynomial degree exceeds d")
-    fld = params.fld
-    q = MultiPoly(p, fld.sample_array(rng, (d + 1,) * m))
-    ts = [
-        MultiPoly(p, fld.sample_array(rng, tuple(dd + 1 for dd in params.t_degree_vector(i))))
-        for i in range(m)
-    ]
+    q, *ts = (
+        MultiPoly(p, params.fld.sample_array(rng, tuple(dd + 1 for dd in dv)))
+        for _, dv in params.tables
+    )
     buf, tables = _new_image(params)
     _mask_table(params, f_poly, q, ts, tables[m])
     _sum_tables(tables[: m + 1], params)
@@ -532,11 +557,13 @@ def verify(
     ``path`` and ``line_choices`` may be injected for exhaustive sweeps;
     they default to fresh uniform coins from rng.
     """
-    p, m, d = params.p, params.m, params.d
+    p, m = params.p, params.m
     fld = params.fld
     log: list[tuple[str, Point, int]] = []
-    readers = {"sigma": proof.sigma_at, "q": proof.q_at}
-    readers.update((f"t{i}", partial(proof.t_at, i)) for i in range(m))
+    readers = dict(zip(
+        params.oracles,
+        [proof.sigma_at, proof.q_at] + [partial(proof.t_at, i) for i in range(m)],
+    ))
 
     def ask(oracle: str, pt: Point) -> int:
         v = readers[oracle](pt)
@@ -556,19 +583,12 @@ def verify(
         if sum(vals[j] for j in h_pos) % p != prev:
             return VerifyResult(False, f"sum check failed at round {i + 1}", log, path)
         prev = _interp_eval(nodes, vals, path[i], p)
-    alpha = path
-    r_val = (ask("q", alpha) - ask("q", rev_point(alpha))) % p
-    zh = univariate_from_roots(params.h, p)
-    for i in range(m):
-        r_val = (r_val + eval_univariate(zh, alpha[i], p) * ask(f"t{i}", alpha)) % p
-    if (f_eval(alpha) + r_val) % p != prev:
+    r_val = sum(w * ask(*c) for c, w in params.mask_terms(path))
+    if (f_eval(path) + r_val) % p != prev:
         return VerifyResult(False, "final consistency check failed", log, path)
 
-    tables = [("q", (d,) * m)] + [
-        (f"t{i}", params.t_degree_vector(i)) for i in range(m)
-    ]
     r_lines = line_test_count(params)
-    for k, (name, dv) in enumerate(tables):
+    for k, (name, dv) in enumerate(params.tables):
         read = readers[name]
         for j in range(r_lines):
             if line_choices is not None:
@@ -627,12 +647,8 @@ class ViewState:
         self.spec: EncodingSpec = enc_pcp_spec(
             params.fld, params.m, params.d, params.h, f_at, gamma
         )
-        self.oracles = ("sigma", "q") + tuple(f"t{i}" for i in range(params.m))
         self.coords: list[Coord] = []
         self.index: dict[Coord, int] = {}
-        # the full-arity proof-word points, in order of arrival; every T_i
-        # table holds exactly these points
-        self.activated: list[Point] = []
         # (table, points) -> that table's cd_rm basis on the points
         self.table_bases: dict = {}
 
@@ -646,14 +662,13 @@ class ViewState:
         other = copy.copy(self)
         other.coords = list(self.coords)
         other.index = dict(self.index)
-        other.activated = list(self.activated)
         return other
 
     def coord(self, oracle: str, pt) -> Coord:
         """The coordinate a query names; ValueError if no proof could answer it."""
         m, p = self.params.m, self.params.p
         pt = tuple(int(c) for c in pt)
-        if oracle not in self.oracles:
+        if oracle not in self.params.oracles:
             raise ValueError(f"unknown oracle {oracle!r} at m={m}")
         if oracle == "sigma" and len(pt) > m:
             raise ValueError(f"sigma is indexed by points of arity at most {m}")
@@ -679,13 +694,12 @@ class ViewState:
         # coordinates: the pointwise mask identity entangles the proof word
         # with the tables there, and committing the latent values now (drawn
         # from their exact conditional) is just lazy sampling of the
-        # prover's randomness.
+        # prover's randomness. They enter in table order, each table's
+        # points sorted: the simulator's draws depend on this order.
         if len(pt) == self.params.m:
-            entering += [
-                ("q", q) for q in sorted({pt, rev_point(pt)}) if ("q", q) not in self.index
-            ]
-            entering += [(f"t{i}", pt) for i in range(self.params.m)]
-            self.activated.append(pt)
+            rank = self.params.oracles.index
+            fresh = {c for c, _ in self.params.mask_terms(pt) if c not in self.index}
+            entering += sorted(fresh, key=lambda c: (rank(c[0]), c[1]))
         for e in entering:
             self.index[e] = len(self.coords)
             self.coords.append(e)
@@ -714,13 +728,12 @@ class SimulatorSession:
         f_eval: Callable[[Point], int],
         gamma: int,
         rng,
-        include_mask_row: bool = True,
     ):
         self.params = params
         self.f_eval = f_eval
         self.gamma = gamma % params.p
         self.rng = rng
-        self.view = ViewState(params, f_eval, self.gamma, include_mask_row)
+        self.view = ViewState(params, f_eval, self.gamma)
         total = 0
         for pt in params.cube.points():
             total = (total + self.view.f_at(pt)) % params.p
@@ -763,15 +776,17 @@ def gather_state_rows(view: ViewState):
 
     Rows are dense over ``view.coords``: the composed locator's constraints
     on the proof word (message values substituted), per-table detector rows,
-    and one mask-consistency row per activated point. Returns (A, b, message
-    positions read) for the system A x = b.
+    and one mask-consistency row per full-arity proof-word point, in order
+    of arrival. Returns (A, b, message positions read) for the system
+    A x = b.
     """
     sig_pts = sorted(view.points("sigma"), key=lambda q: (len(q), q))
     a_sig, b_sig, reads = constraint_rows_for(view.spec, sig_pts)
     sig_rows = np.zeros((len(a_sig), len(view.coords)), dtype=np.int64)
     sig_rows[:, view.cols("sigma", sig_pts)] = a_sig
     table_rows = build_table_rows(view)
-    masks = [mask_row(view, pt) for pt in view.activated] if view.include_mask_row else []
+    full = [pt for pt in view.points("sigma") if len(pt) == view.params.m]
+    masks = [mask_row(view, pt) for pt in full] if view.include_mask_row else []
     a = np.vstack([sig_rows, table_rows] + [row for row, _ in masks])
     b = np.concatenate(
         [
@@ -786,16 +801,11 @@ def gather_state_rows(view: ViewState):
 def build_table_rows(view: ViewState) -> np.ndarray:
     """Detector rows for each mask table over the points the view holds."""
     params = view.params
-    m = params.m
-    t_pts = sorted(view.activated)
-    tables = [("q", (params.d,) * m, sorted(view.points("q")))] + [
-        (f"t{i}", params.t_degree_vector(i), t_pts) for i in range(m)
-    ]
     blocks = []
-    for oracle, dv, pts in tables:
-        key = (oracle, tuple(pts))
+    for oracle, dv in params.tables:
+        key = (oracle, tuple(sorted(view.points(oracle))))
         if key not in view.table_bases:
-            view.table_bases[key] = cd_rm(CodeView(params.fld, m, dv), pts)
+            view.table_bases[key] = cd_rm(CodeView(params.fld, params.m, dv), key[1])
         cb = view.table_bases[key]
         rows = np.zeros((len(cb.z), len(view.coords)), dtype=np.int64)
         rows[:, view.cols(oracle, cb.domain)] = cb.z
@@ -804,17 +814,12 @@ def build_table_rows(view: ViewState) -> np.ndarray:
 
 
 def mask_row(view: ViewState, pt: Point) -> tuple[np.ndarray, int]:
-    """Q(pt) - Q(rev pt) + sum Z_H(pt_i) T_i(pt) - sigma(pt) = -F(pt)."""
-    params = view.params
-    p = params.p
-    zh = univariate_from_roots(params.h, p)
+    """mask(pt) - sigma(pt) = -F(pt), the mask as ``params.mask_terms``."""
     row = np.zeros(len(view.coords), dtype=np.int64)
-    row[view.index[("q", pt)]] += 1
-    row[view.index[("q", rev_point(pt))]] -= 1
-    for i in range(params.m):
-        row[view.index[(f"t{i}", pt)]] = eval_univariate(zh, pt[i], p)
+    for c, w in view.params.mask_terms(pt):
+        row[view.index[c]] += w
     row[view.index[("sigma", pt)]] = -1
-    return row % p, (-view.f_at(pt)) % p
+    return row % view.params.p, (-view.f_at(pt)) % view.params.p
 
 
 def serialize_proof(proof: ProofOracle) -> memoryview:
@@ -918,9 +923,6 @@ class SharpSatPcp:
 
     def verify(self, proof: ProofOracle, rng) -> VerifyResult:
         return verify(self.f_eval, self.params, proof, rng, gamma=self.gamma)
-
-    def simulator(self, rng, **kw) -> SimulatorSession:
-        return SimulatorSession(self.params, self.f_eval, self.gamma, rng, **kw)
 
 
 def pcp_for_sharp_sat(

@@ -191,35 +191,6 @@ def interpolate(values: dict[Point, int], s: ProductSet, p: int) -> MultiPoly:
     return interpolate_grid(arr, s, p)
 
 
-def sample_lde(
-    values: dict[Point, int], s: ProductSet, dv: DegreeVector, p: int, rng
-) -> MultiPoly:
-    """Uniformly random degree-dv extension of the given grid values.
-
-    Returns interpolant + sum_i Z_{S_i}(X_i) * T_i with each T_i uniform of
-    degree dv except dv_i - |S_i| in axis i; axes with dv_i = |S_i| - 1
-    contribute no mask term. Requires dv_i >= |S_i| - 1.
-    """
-    from .field import Field
-
-    base = interpolate(values, s, p)
-    fld = Field(p)
-    out = embed(base, dv, p)
-    for i, nodes in enumerate(s.factors):
-        slack = dv[i] - len(nodes)
-        if slack < -1:
-            raise ValueError(f"degree bound {dv[i]} below |S_{i+1}| - 1")
-        if slack < 0:
-            continue
-        shape = tuple(
-            (slack + 1) if j == i else dv[j] + 1 for j in range(len(dv))
-        )
-        t = fld.sample_array(rng, shape)
-        term = _axis_mul(t, univariate_from_roots(nodes, p), i, p)
-        out = out.add(MultiPoly(p, term))
-    return out
-
-
 def zero_code_poly_basis(s: ProductSet, dv: DegreeVector, p: int) -> list[MultiPoly]:
     """Basis (as polynomials) of {P of degree dv : P = 0 on the grid s}.
 

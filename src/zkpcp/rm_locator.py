@@ -175,9 +175,7 @@ def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> Locator
     # Constraints are monotone in the grid: when the whole product set is
     # unconstrained, so is every subgrid, and the search would flag nothing.
     # require_locator_view gives d'_i >= |A_i| - 1, which the test needs.
-    # At arity 0 the root is the search's one leaf, which it keeps untested.
-    root_flagged = view.m == 0 or check_constraints(dview, iprime, a)
-    r_list = search((), 0) if root_flagged else []
+    r_list = search((), 0) if check_constraints(dview, iprime, a) else []
     for pt in pts:
         if a.contains(pt) and pt not in r_list:
             r_list.append(pt)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .domains import Point, ProductSet, a_closure, dedup_points, sort_points
 from .linalg import project_constraints
-from .poly import eval_univariate, lagrange_univariate
 from .rm import CodeView
 from .rm_locator import (
     LocatorOutput,
@@ -23,38 +22,6 @@ from .rm_locator import (
     rm_locate,
     systematic_locate,
 )
-
-
-def flatten(
-    z: dict[Point, int],
-    axis: int,
-    anchor: int,
-    domain: Sequence[Point],
-    a: ProductSet,
-    p: int,
-) -> dict[Point, int]:
-    """Fold the length-``axis`` layer of a constraint onto its parents.
-
-    Parents in the starred part of the domain absorb the Lagrange-weighted
-    children values; everything else passes through. ``axis`` is 1-based,
-    ``anchor`` must lie in A_axis.
-    """
-    if anchor not in a.factors[axis - 1]:
-        raise ValueError("anchor must belong to the folded factor")
-    dom = set(domain)
-    lag = lagrange_univariate(a.factors[axis - 1], anchor, p)
-    out: dict[Point, int] = {}
-    for s in sort_points(dom):
-        if len(s) == axis:
-            continue
-        val = z.get(s, 0) % p
-        if len(s) == axis - 1:
-            children = [q for q in dom if len(q) == axis and q[:-1] == s]
-            if children:
-                for q in children:
-                    val = (val + z.get(q, 0) * eval_univariate(lag, q[-1], p)) % p
-        out[s] = val
-    return out
 
 
 def summation_rows(

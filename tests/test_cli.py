@@ -404,11 +404,63 @@ def test_locate_refuses_points_that_are_not_lists():
     assert recs == [{"record": "error", "message": "points must be a JSON list of coordinate lists"}]
 
 
-def test_cap_is_an_audit_zk_option_only(cnf_file, tmp_path):
-    code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", "1", "--cap", "10")
-    assert code == 2
-    assert "exceeds cap 10" in recs[-1]["error"]
-    code, recs = run_cli(
-        "prove", "--cnf", cnf_file, "--count", "3", "--cap", "10", "--out", str(tmp_path / "x.bin")
-    )
+UNREAD = {
+    "prove-m": ("prove", "--m", "2"),
+    "prove-degree": ("prove", "--degree", "3"),
+    "prove-h-set": ("prove", "--h-set", "0,1"),
+    "prove-cap": ("prove", "--cap", "10"),
+    "verify-m": ("verify", "--m", "2"),
+    "verify-degree": ("verify", "--degree", "3"),
+    "verify-h-set": ("verify", "--h-set", "0,1"),
+    "audit-zk-cap": ("audit-zk", "--field", "5", "--m", "3", "--battery", "1", "--cap", "10"),
+    "locate-seed": ("locate", "--code", "rm", "--points", "[[0,2]]", "--seed", "1"),
+    "detect-h-set": ("detect", "--points", "[[0,2]]", "--h-set", "0,1"),
+    "detect-seed": ("detect", "--points", "[[0,2]]", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_commands_refuse_options_they_do_not_read(case, cnf_file, tmp_path):
+    """An option a command would parse and then ignore is not registered:
+    argparse refuses it with exit 2 before the command runs."""
+    out = tmp_path / "x.bin"
+    command, *rest = UNREAD[case]
+    if command == "prove":
+        rest += ["--cnf", cnf_file, "--count", "3", "--out", str(out)]
+    elif command == "verify":
+        run_cli("prove", "--cnf", cnf_file, "--count", "3", "--out", str(out))
+        rest += ["--cnf", cnf_file, "--count", "3", "--proof", str(out)]
+    code, recs = run_cli(command, *rest)
     assert code == 2 and recs == []
+    assert out.exists() == (command == "verify")
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit-zk"])
+def test_one_degree_commands_refuse_unequal_degree_vectors(command, script_file):
+    """simulate and audit-zk use one degree d in every variable: a vector of
+    equal bounds means d, and unequal ones are refused, not cut to the first."""
+    args = [command, "--script", script_file, "--field", "5", "--m", "2", "--seed", "4"]
+    code, recs = run_cli(*args, "--degree", "3,9")
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "equal" in recs[-1]["message"]
+    code, recs = run_cli(*args, "--degree", "3,3")
+    assert code == 0 and recs == run_cli(*args, "--degree", "3")[1]
+    assert (recs[-1]["d"] == 3) if command == "simulate" else (recs[-1]["failures"] == 0)
+
+
+def test_audit_zk_checks_the_dimension_before_building_an_instance(monkeypatch, capsys):
+    """At p=5, m=12 the masks have 4^12 + 12 * 4^11 * 2 > 2^24 coefficients:
+    the command refuses them before it samples the instance's (d + 1)^m."""
+    from zkpcp import cli
+
+    def refused(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "random_instance", refused)
+    assert cli.main(["audit-zk", "--field", "5", "--m", "12", "--battery", "1"]) == 2
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    dim = 4**12 + 12 * 4**11 * 2
+    assert recs == [
+        {"record": "audit-zk", "error": f"coefficient dimension {dim} exceeds cap {1 << 24}"}
+    ]

@@ -932,6 +932,39 @@ def test_mask_fact_zero_code_part_support_equality():
     assert span_set(mask_rows) == span_set(zc_rows)
 
 
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 3)])
+def test_mask_identity_is_the_params_mask_terms(p, m):
+    """At every full-arity point of an honest proof, sigma = F + the mask as
+    ``params.mask_terms`` weighs it; ``mask_row`` carries exactly those
+    weights, plus -1 on sigma, and the honest values satisfy it."""
+    params = PcpParams(p, m, 3, (0, 1))
+    rng = random.Random(p * m)
+    poly = MultiPoly(p, Field(p).sample_array(rng, (4,) * m))
+    proof = prove(poly, params, rng)
+    read = {"sigma": proof.sigma_at, "q": proof.q_at}
+    read.update((f"t{i}", partial(proof.t_at, i)) for i in range(m))
+    view = pcp.ViewState(params, poly.eval, proof.sigma_at(()))
+    cube = list(itertools.product(range(p), repeat=m))
+    for pt in cube:
+        view.admit(("sigma", pt))
+    values = np.array([read[name](x) for name, x in view.coords], dtype=np.int64)
+    for pt in cube:
+        terms = params.mask_terms(pt)
+        assert [c for c, _ in terms] == [("q", pt), ("q", pcp.rev_point(pt))] + [
+            (f"t{i}", pt) for i in range(m)
+        ]
+        mask = sum(w * read[name](x) for (name, x), w in terms)
+        assert proof.sigma[m][pt] == (poly.eval(pt) + mask) % p
+        row, rhs = pcp.mask_row(view, pt)
+        want = Counter({view.index[("sigma", pt)]: -1})
+        for c, w in terms:
+            want[view.index[c]] += w
+        assert {j: int(v) for j, v in enumerate(row) if v} == {
+            j: w % p for j, w in want.items() if w % p
+        }
+        assert rhs == -poly.eval(pt) % p and row @ values % p == rhs
+
+
 class _SimulatedProof:
     """Adapter exposing a simulator session through the proof-oracle surface."""
 

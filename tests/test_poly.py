@@ -12,7 +12,6 @@ from zkpcp.poly import (
     interpolate,
     lagrange,
     monomial_exponents,
-    sample_lde,
     subcube_sum,
     vanishing,
     zero_code_poly_basis,
@@ -112,50 +111,6 @@ def test_interpolation_identity():
         assert np.array_equal(acc.coeffs, poly.coeffs)
 
 
-def test_sample_lde_unique_case_no_randomness():
-    rng = random.Random(8)
-    s = ProductSet(((0, 1), (0, 1)))
-    values = {pt: (pt[0] + pt[1]) % 5 for pt in s.points()}
-    out = sample_lde(values, s, (1, 1), 5, rng)
-    assert np.array_equal(out.coeffs, interpolate(values, s, 5).coeffs)
-
-
-def test_sample_lde_zero_function_support_f3():
-    # f = 0 on {0,1}, m=1, d=2, F3: the set of extensions is {c (X^2 - X)}.
-    s = ProductSet(((0, 1),))
-    values = {(0,): 0, (1,): 0}
-    want = set()
-    for c in range(3):
-        q = poly_from_coeffs(3, [0, (-c) % 3, c])
-        want.add(tuple(q.coeffs.ravel()))
-    rng = random.Random(9)
-    seen = set()
-    for _ in range(200):
-        out = sample_lde(values, s, (2,), 3, rng)
-        seen.add(tuple(out.coeffs.ravel()))
-    assert seen == want
-    # exact mode: the coset from the zero-code basis equals the brute filter
-    basis = zero_code_poly_basis(s, (2,), 3)
-    base = embed(interpolate(values, s, 3), (2,), 3)
-    coset = set()
-    for coeffs in itertools.product(range(3), repeat=len(basis)):
-        acc = base
-        for c, q in zip(coeffs, basis):
-            acc = acc.add(q.scale(c))
-        coset.add(tuple(acc.coeffs.ravel()))
-    assert coset == want
-
-
-def test_sample_lde_extension_property():
-    rng = random.Random(10)
-    s = ProductSet(((0, 1), (0, 1)))
-    values = {pt: 1 if pt == (1, 1) else 0 for pt in s.points()}
-    for _ in range(20):
-        out = sample_lde(values, s, (2, 2), 5, rng)
-        for pt in s.points():
-            assert out.eval(pt) == values[pt]
-
-
 def brute_lde_set(values, s, dv, p):
     shape = tuple(d + 1 for d in dv)
     n = int(np.prod(shape))
@@ -173,6 +128,7 @@ def brute_lde_set(values, s, dv, p):
         (2, ((0, 1), (0, 1)), (2, 2)),
         (3, ((0, 1),), (3,)),
         (3, ((0, 1), (0, 1)), (2, 1)),
+        (3, ((0, 1),), (2,)),
     ],
 )
 def test_lde_support_matches_bruteforce(p, factors, dv):

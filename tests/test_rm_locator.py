@@ -202,6 +202,14 @@ def test_rm_locate_arity_zero():
     assert out.z.shape[0] == 1
 
 
+def test_rm_locate_without_queries_depends_on_no_message():
+    """An empty query set reads no message position at any arity, 0 included."""
+    f = Field(5)
+    for m in range(3):
+        out = rm_locate(CodeView(f, m, (2,) * m), hypercube((0, 1), m), [])
+        assert (out.r, out.queries, out.z.shape) == ((), (), (0, 0))
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("d", [2, 3])
 def test_rm_locate_inside_the_product_set_is_systematic(m, d):

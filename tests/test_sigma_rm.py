@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from zkpcp.domains import a_closure, hypercube, sort_points, starred
+from zkpcp.domains import a_closure, hypercube, starred
 from zkpcp.field import Field
 from zkpcp.linalg import AffineSystem, kernel_basis, spans_equal
 from zkpcp.oracles import (
@@ -13,7 +13,7 @@ from zkpcp.oracles import (
     sigma_brute_dual,
 )
 from zkpcp.rm import CodeView, cd_rm, cd_zero_rm
-from zkpcp.sigma_rm import flatten, sigma_rm_locate
+from zkpcp.sigma_rm import sigma_rm_locate
 
 
 def theorem_span_rows(view, a, s_pts, zero_on_cube):
@@ -86,88 +86,6 @@ def test_dual_decomposition_corner_cases():
             brute = sigma_brute_dual(view, a, s_pts, zero_on_cube)
             span = theorem_span_rows(view, a, s_pts, zero_on_cube)
             assert spans_equal(brute, span, p), (s_pts, zero_on_cube)
-
-
-def test_flatten_untouched_low_layers():
-    p = 3
-    a = hypercube((0, 1), 2)
-    domain = [(), (0,), (1,)]
-    z = {(): 2, (0,): 1}
-    out = flatten(z, 2, 0, domain, a, p)
-    assert out == {(): 2, (0,): 1, (1,): 0}
-
-
-def test_flatten_kills_summation_row():
-    p = 5
-    a = hypercube((0, 1), 2)
-    domain = [(0,), (0, 0), (0, 1)]
-    z = {(0,): 1, (0, 0): p - 1, (0, 1): p - 1}
-    out = flatten(z, 2, 1, domain, a, p)
-    assert all(v == 0 for v in out.values())
-
-
-def test_flatten_pure_top_constraint_lands_in_rm_dual():
-    # A constraint supported on length-2 points folds onto parents and must
-    # annihilate every univariate restriction.
-    p = 3
-    f = Field(p)
-    a = hypercube((0, 1), 2)
-    view = CodeView(f, 2, (2, 2))
-    rng = random.Random(4)
-    for _ in range(10):
-        s_pts = random_closed_set(rng, a, p, max_size=13)
-        top = [pt for pt in s_pts if len(pt) == 2]
-        if not top:
-            continue
-        dual = sigma_brute_dual(view, a, s_pts, False)
-        pure = [
-            z
-            for z in dual
-            if all(
-                z[i] == 0 for i, pt in enumerate(s_pts) if len(pt) < 2
-            )
-            and np.any(z)
-        ]
-        parents = [pt for pt in s_pts if len(pt) == 1]
-        uni = CodeView(f, 1, (2,))
-        from zkpcp.oracles import restriction_space
-
-        rows, _ = restriction_space(uni, parents, p)
-        for z in pure:
-            zmap = {pt: int(z[i]) for i, pt in enumerate(s_pts)}
-            for anchor in (0, 1):
-                out = flatten(zmap, 2, anchor, s_pts, a, p)
-                vec = np.array([out.get(pt, 0) for pt in parents], dtype=np.int64)
-                if rows.size:
-                    assert not np.any((rows @ vec) % p)
-
-
-def test_flatten_preserves_lambda_low_leading_layer():
-    # For duals whose first nonzero sits at length < m-1, folding the top
-    # layer leaves the leading point alone.
-    p = 3
-    f = Field(p)
-    a = hypercube((0, 1), 2)
-    view = CodeView(f, 2, (2, 2))
-    s_pts = a_closure([(2, 2), (2,)], a)
-    order = sort_points(s_pts)
-    dual = sigma_brute_dual(view, a, order, False)
-    for z in dual:
-        zmap = {pt: int(v) for pt, v in zip(order, z)}
-        lam = next((pt for pt in order if zmap.get(pt, 0)), None)
-        if lam is None or len(lam) >= 1:
-            continue
-        out = flatten(zmap, 2, 0, order, a, p)
-        lam2 = next(
-            (pt for pt in sort_points(out) if out.get(pt, 0)), None
-        )
-        assert lam2 == lam
-
-
-def test_flatten_rejects_bad_anchor():
-    a = hypercube((0, 1), 2)
-    with pytest.raises(ValueError):
-        flatten({}, 2, 4, [()], a, 5)
 
 
 def test_sigma_rm_locate_refuses_views_whatever_the_queries():
