@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import audit_script, parse_script, script_battery
+from .audit import ScriptStep, audit_script, parse_script, script_battery
 from .domains import hypercube, require_in_field
 from .field import Field
 from .pcp import (
@@ -108,6 +108,26 @@ def load_bundle(args):
     return pcp_for_sharp_sat(cnf, args.count, p=args.field)
 
 
+def load_instance(args):
+    """The parameters simulate and audit-zk run on, and a call returning the
+    instance polynomial and its claimed cube total: the --cnf formula's, or a
+    seeded random one from --field, --m, --degree and --h-set (by default m=2,
+    d=3, H={0,1}). The formula fixes m, d and H, so those three options are
+    refused next to --cnf. The call lets a caller check the parameters before
+    a random instance is built."""
+    given = {k: getattr(args, k) for k in ("m", "degree", "h_set") if getattr(args, k) is not None}
+    if args.cnf:
+        if given:
+            names = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ValueError(f"{names} cannot be given with --cnf: the formula fixes m, d and H")
+        bundle = load_bundle(args)
+        return bundle.params, lambda: (bundle.poly, bundle.gamma)
+    opts = {"m": 2, "degree": "3", "h_set": "0,1", **given}
+    m = opts["m"]
+    params = SumcheckParams(args.field, m, parse_degree(opts["degree"], m), parse_h(opts["h_set"]))
+    return params, lambda: random_instance(params, args.seed)
+
+
 def random_instance(params: SumcheckParams, seed: int) -> tuple[MultiPoly, int]:
     """Seeded random degree-d polynomial plus its true cube total."""
     fld = params.fld
@@ -180,19 +200,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     script = parse_script(json.loads(Path(args.script).read_text()))
-    if args.cnf:
-        bundle = load_bundle(args)
-        params: SumcheckParams = bundle.params
-        f_eval, gamma = bundle.f_eval, bundle.gamma
-    else:
-        params = SumcheckParams(
-            args.field, args.m, parse_degree(args.degree, args.m), parse_h(args.h_set)
-        )
-        poly, gamma = random_instance(params, args.seed)
-        f_eval = poly.eval
-    from .audit import ScriptStep
-
-    sim = SimulatorSession(params, f_eval, gamma, trial_rng(args.seed, 0))
+    params, instance = load_instance(args)
+    poly, gamma = instance()
+    sim = SimulatorSession(params, poly.eval, gamma, trial_rng(args.seed, 0))
     answers: list[int] = []
     records = []
     status = 0
@@ -232,15 +242,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit_zk(args) -> int:
-    if args.cnf:
-        bundle = load_bundle(args)
-        params = SumcheckParams(
-            bundle.params.p, bundle.params.m, bundle.params.d, bundle.params.h
-        )
-    else:
-        params = SumcheckParams(
-            args.field, args.m, parse_degree(args.degree, args.m), parse_h(args.h_set)
-        )
+    params, instance = load_instance(args)
     # checked before an instance with (d + 1)^m coefficients is built
     coeff_dim = sum(math.prod(d + 1 for d in dv) for _, dv in params.tables)
     if coeff_dim > AUDIT_CAP:
@@ -251,7 +253,7 @@ def cmd_audit_zk(args) -> int:
             }
         )
         return 2
-    poly, gamma = (bundle.poly, bundle.gamma) if args.cnf else random_instance(params, args.seed)
+    poly, gamma = instance()
     scripts = []
     if args.script:
         for path in args.script:
@@ -368,8 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     instance = ("--m", "--degree", "--h-set", "--seed")
+    # unset, so that load_instance can tell them given; it supplies defaults
+    unset = dict.fromkeys(("m", "degree", "h_set"))
     p = sub.add_parser("simulate", help="replay a query script against the simulator")
     common(p, *instance, field_default=5)
+    p.set_defaults(**unset)
     p.add_argument("--cnf")
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", required=True)
@@ -378,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-zk", help="exact real-vs-simulated law comparison")
     common(p, *instance, field_default=3)
+    p.set_defaults(**unset)
     p.add_argument("--cnf")
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", action="append", help="script file (repeatable)")

@@ -115,22 +115,13 @@ def project_constraints(rows, keep, p: int) -> np.ndarray:
     return np.ascontiguousarray(m[first : len(pivots), len(dropped) :])
 
 
-def image_dual_basis(m, bperp, p: int) -> np.ndarray:
-    """Basis (as rows) of the dual of {M u : u in U}, given a basis of U-dual.
-
-    ``bperp`` holds the rows spanning U-perp; U is recovered as its kernel,
-    pushed through M, and the column span of the result is dualised. Passing
-    an empty ``bperp`` means U is the full column space, so the output spans
-    the dual of the column span of M.
-    """
+def image_dual_basis(m, p: int) -> np.ndarray:
+    """Basis (as rows) of the dual of the column span of M."""
     m = as_matrix(m, p)
     if m.shape[1] == 0:
         # the domain is trivial, so the image is {0} and the dual is everything
         return np.eye(m.shape[0], dtype=np.int64)
-    bperp = np.asarray(bperp, dtype=np.int64).reshape(-1, m.shape[1]) % p
-    # the columns of a generate the image; with no constraints on U that is M
-    a = m if bperp.shape[0] == 0 else (m @ kernel_basis(bperp, p).T) % p
-    return kernel_basis(a.T, p)
+    return kernel_basis(m.T, p)
 
 
 @dataclass(frozen=True)

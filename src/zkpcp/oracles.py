@@ -14,7 +14,7 @@ import numpy as np
 from functools import lru_cache
 
 from .domains import Point, ProductSet, rev_point
-from .linalg import rank, rref, spans_equal
+from .linalg import rank, spans_equal
 from .poly import monomial_exponents
 from .rm import CodeView, rm_generator
 
@@ -75,13 +75,6 @@ def pack_assignment(values: list[int], p: int) -> int:
     for i, v in enumerate(values):
         acc += (v % p) * p**i
     return acc
-
-
-def restriction_space(view: CodeView, coords: list[Point], p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF rows spanning {codeword restricted to coords}, from definitions."""
-    g = rm_generator(view, coords)
-    r, piv = rref(g.T, p)
-    return r[: len(piv)], piv
 
 
 def affine_sets_equal(off_a, rows_a, off_b, rows_b, p: int) -> bool:

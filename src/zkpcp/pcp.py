@@ -27,7 +27,7 @@ from .encoding import EncodingSpec, constraint_rows_for, enc_pcp_spec, sample_ne
 from .field import MAX_MODULUS, Field, is_prime, next_prime
 from .poly import (
     MultiPoly,
-    eval_univariate,
+    _inverse_vandermonde,
     lagrange_univariate,
     power_table,
     univariate_from_roots,
@@ -168,6 +168,22 @@ class SumcheckParams:
         """Every oracle a query may name: the proof word, then the tables."""
         return ("sigma",) + tuple(name for name, _ in self.tables)
 
+    @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        """The d + 1 points 0..d at which the verifier reads each round
+        polynomial; ValueError unless they are field elements holding H."""
+        if self.d >= self.p:
+            raise ValueError("need d < p: the reading nodes 0..d are field elements")
+        if self.h[-1] > self.d:
+            raise ValueError("summation set must be contained in the nodes 0..d")
+        return tuple(range(self.d + 1))
+
+    @property
+    def meets_soundness_bound(self) -> bool:
+        """m*d < p/10, the floor soundness needs; checked where soundness is
+        claimed (``pcp_for_sharp_sat``), so tiny fields stay usable."""
+        return self.m * self.d * 10 < self.p
+
     def mask_terms(self, pt: Point) -> list[tuple[tuple[str, Point], int]]:
         """(coordinate, weight) pairs whose weighted sum is the mask at a
         full-arity point, Q(pt) - Q(rev pt) + sum_i Z_H(pt_i) T_i(pt), in the
@@ -180,29 +196,8 @@ class SumcheckParams:
         ]
 
 
-@dataclass(frozen=True)
-class PcpParams(SumcheckParams):
-    """Verifier parameters: the d+1 reading nodes of the unrolled sumcheck.
-
-    The soundness guarantee additionally needs m*d < p/10; that floor is
-    enforced where soundness is claimed (instance parameter selection), not
-    here, so completeness can still be exercised on tiny fields.
-    """
-
-    nodes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        nodes = self.nodes or tuple(range(self.d + 1))
-        if len(set(nodes)) != self.d + 1 or any(not 0 <= x < self.p for x in nodes):
-            raise ValueError("need d + 1 distinct reading nodes")
-        if not set(self.h) <= set(nodes):
-            raise ValueError("summation set must be contained in the nodes")
-        object.__setattr__(self, "nodes", tuple(nodes))
-
-    @property
-    def meets_soundness_bound(self) -> bool:
-        return self.m * self.d * 10 < self.p
+# benchmarks/workloads.py still builds its parameters under the former name
+PcpParams = SumcheckParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +212,7 @@ class ProofOracle:
     Proofs compare by identity; compare ``bytes(proof.wire)`` for the bytes.
     """
 
-    params: PcpParams
+    params: SumcheckParams
     wire: memoryview = field(repr=False)
     q: np.ndarray = field(init=False, repr=False)
     _sigma: tuple = field(init=False, repr=False)
@@ -290,12 +285,8 @@ def _table_words(p: int, m: int) -> int:
     return sum(math.prod(shape) for shape in _table_shapes(p, m))
 
 
-def _wire_lead(params: PcpParams) -> bytes:
+def _wire_lead(params: SumcheckParams) -> bytes:
     """MAGIC and the u64 header: the wire bytes before the tables."""
-    if not isinstance(params, PcpParams):
-        raise ValueError(
-            "a proof needs PcpParams: the wire header names the verifier's reading nodes"
-        )
     head = [params.p, params.m, params.d, len(params.h), *params.h,
             len(params.nodes), *params.nodes]
     return struct.pack(f"<4s{len(head)}Q", MAGIC, *head)
@@ -343,7 +334,7 @@ def _pooled(size: int) -> np.ndarray:
     return buf
 
 
-def _new_image(params: PcpParams) -> tuple[np.ndarray, list[np.ndarray]]:
+def _new_image(params: SumcheckParams) -> tuple[np.ndarray, list[np.ndarray]]:
     """One uint8 buffer for a whole proof, and writable int64 views of its
     tables in wire order; the only place proof images are allocated.
 
@@ -366,14 +357,14 @@ def _split_tables(words: np.ndarray, p: int, m: int) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
-def _frozen(params: PcpParams, buf: np.ndarray) -> ProofOracle:
+def _frozen(params: SumcheckParams, buf: np.ndarray) -> ProofOracle:
     """The proof whose wire image is ``buf[4:]``, frozen for good: a view of
     a read-only buffer cannot be made writable again."""
     buf.flags.writeable = False
     return ProofOracle(params, memoryview(buf)[4:])
 
 
-def proof_from_tables(params: PcpParams, sigma, q, t) -> ProofOracle:
+def proof_from_tables(params: SumcheckParams, sigma, q, t) -> ProofOracle:
     """The proof over the given tables, copied once into an image of its own,
     for corruption experiments. The tables must have the shapes ``params``
     implies. Entries are written as two's complement 64-bit words, so the
@@ -483,15 +474,14 @@ def _sum_tables(layers: list[np.ndarray], params: SumcheckParams):
         np.remainder(layers[i], params.p, out=layers[i])
 
 
-def prove(f_poly: MultiPoly, params: PcpParams, rng) -> ProofOracle:
+def prove(f_poly: MultiPoly, params: SumcheckParams, rng) -> ProofOracle:
     """Sample the mask and emit the full proof tables.
 
     Q is uniform of individual degree d; each T_i is uniform with the degree
     in axis i reduced by |H|; the mask is Q - Q(rev) + sum Z_H(X_i) T_i.
 
     The tables are written straight into the proof's wire image, which is
-    then frozen. ``params`` must be PcpParams: the wire header names the
-    verifier's reading nodes.
+    then frozen.
     """
     p, m, d = params.p, params.m, params.d
     if p**m > TABLE_CAP:
@@ -521,30 +511,22 @@ class VerifyResult:
 
 
 @lru_cache(maxsize=64)
-def _inverse_vandermonde_cached(nodes: tuple[int, ...], p: int) -> np.ndarray:
-    from .poly import _inverse_vandermonde
-
-    return _inverse_vandermonde(list(nodes), p)
-
-
-def _fit_univariate(nodes: Sequence[int], values: Sequence[int], p: int) -> np.ndarray:
-    """Coefficients of the unique polynomial through (nodes, values)."""
-    vinv = _inverse_vandermonde_cached(tuple(nodes), p)
-    return (vinv @ np.asarray(values, dtype=np.int64)) % p
+def _extension(nodes: tuple[int, ...], p: int) -> np.ndarray:
+    """Read-only p x len(nodes) matrix E: E @ values is the interpolant
+    through (nodes, values) evaluated at every x in [0, p)."""
+    e = power_table(p, len(nodes) - 1) @ _inverse_vandermonde(nodes, p) % p
+    e.flags.writeable = False
+    return e
 
 
-def _interp_eval(nodes: Sequence[int], values: Sequence[int], x: int, p: int) -> int:
-    return eval_univariate(_fit_univariate(nodes, values, p), x, p)
-
-
-def line_test_count(params: PcpParams) -> int:
+def line_test_count(params: SumcheckParams) -> int:
     """Axis-parallel lines per table for the degree tests."""
     return math.ceil(4 * (params.m + 2) * math.log(2))
 
 
 def verify(
     f_eval: Callable[[Point], int],
-    params: PcpParams,
+    params: SumcheckParams,
     proof: ProofOracle,
     rng,
     gamma: Optional[int] = None,
@@ -557,7 +539,7 @@ def verify(
     ``path`` and ``line_choices`` may be injected for exhaustive sweeps;
     they default to fresh uniform coins from rng.
     """
-    p, m = params.p, params.m
+    p, m, nodes = params.p, params.m, params.nodes
     fld = params.fld
     log: list[tuple[str, Point, int]] = []
     readers = dict(zip(
@@ -576,18 +558,19 @@ def verify(
     if path is None:
         path = tuple(fld.sample(rng) for _ in range(m))
     prev = gamma_claim
-    nodes = list(params.nodes)
-    h_pos = [nodes.index(a) for a in params.h]
+    ext = _extension(nodes, p)
     for i in range(m):
         vals = [ask("sigma", path[:i] + (x,)) for x in nodes]
-        if sum(vals[j] for j in h_pos) % p != prev:
+        # the nodes are 0..d, so H indexes its own values
+        if sum(vals[a] for a in params.h) % p != prev:
             return VerifyResult(False, f"sum check failed at round {i + 1}", log, path)
-        prev = _interp_eval(nodes, vals, path[i], p)
+        prev = int(ext[path[i]] @ vals) % p
     r_val = sum(w * ask(*c) for c, w in params.mask_terms(path))
     if (f_eval(path) + r_val) % p != prev:
         return VerifyResult(False, "final consistency check failed", log, path)
 
-    r_lines = line_test_count(params)
+    # F^0 is one point, with no line to test
+    r_lines = line_test_count(params) if m else 0
     for k, (name, dv) in enumerate(params.tables):
         read = readers[name]
         for j in range(r_lines):
@@ -601,9 +584,8 @@ def verify(
             vals = list(map(read, pts))
             log.extend(zip(repeat(name, p), pts, vals))
             deg = dv[axis]
-            coeffs = _fit_univariate(range(deg + 1), vals[: deg + 1], p)
-            expected = (power_table(p, deg) @ coeffs) % p
-            if not np.array_equal(expected, np.asarray(vals, dtype=np.int64) % p):
+            got = np.asarray(vals, dtype=np.int64) % p
+            if not np.array_equal(_extension(nodes[: deg + 1], p) @ got[: deg + 1] % p, got):
                 return VerifyResult(
                     False, f"degree test failed on {name} axis {axis}", log, path
                 )
@@ -630,6 +612,8 @@ class ViewState:
         gamma: int,
         include_mask_row: bool = True,
     ):
+        if params.m < 1:
+            raise ValueError("the simulator needs m >= 1: an arity-0 proof word has no view")
         self.params = params
         # F at each point evaluated so far. The spec's message oracle and the
         # mask rows both read F through ``f_at``, a closure rather than a
@@ -730,7 +714,6 @@ class SimulatorSession:
         rng,
     ):
         self.params = params
-        self.f_eval = f_eval
         self.gamma = gamma % params.p
         self.rng = rng
         self.view = ViewState(params, f_eval, self.gamma)
@@ -878,18 +861,17 @@ def deserialize_proof(blob) -> ProofOracle:
 
     p, m, d, hn = take(4)
     h = take(hn)
-    (dn,) = take(1)
-    nodes = take(dn)
-    if dn != d + 1:
-        raise ValueError("need d + 1 distinct reading nodes")
+    nodes = take(take(1)[0])
     if m > 64 or p ** max(m, 1) > TABLE_CAP:
         raise ValueError("dense proof tables exceed the size cap")
     total = _table_words(p, m)
     if len(blob) - off != 8 * total:
         raise ValueError("proof length does not match its header")
-    params = PcpParams(p, m, d, tuple(h), tuple(nodes))
+    params = SumcheckParams(p, m, d, tuple(h))
     if params.h != tuple(h):
         raise ValueError("summation set must be strictly increasing")
+    if params.nodes != tuple(nodes):
+        raise ValueError("the reading nodes must be 0..d")
     if fixed:
         proof = ProofOracle(params, blob)
     else:
@@ -908,7 +890,7 @@ class SharpSatPcp:
 
     cnf: CnfInstance
     claimed_count: int
-    params: PcpParams
+    params: SumcheckParams
     poly: MultiPoly
 
     @property
@@ -930,9 +912,10 @@ def pcp_for_sharp_sat(
 ) -> SharpSatPcp:
     """Choose parameters for a CNF instance and bind the claim.
 
-    The claimed count must lie in [0, 2^n] and the modulus must exceed both
-    the soundness threshold 10 m d and 2^n, so the claimed count cannot
-    alias; a user-supplied smaller prime is rejected.
+    The claimed count must lie in [0, 2^n] and the modulus must exceed the
+    soundness threshold 10 m d, 2^n (so the claimed count cannot alias) and
+    d (so the reading nodes 0..d are field elements; this binds only at
+    n = 0); a user-supplied smaller prime is rejected.
     """
     m = cnf.num_vars
     if not 0 <= claimed_count <= 2**m:
@@ -942,12 +925,12 @@ def pcp_for_sharp_sat(
         for lit in clause:
             occurrences[abs(lit) - 1] += 1
     d = max(3, max(occurrences, default=0))
-    floor = max(10 * m * d, 2**m)
+    floor = max(10 * m * d, 2**m, d)
     if p is None:
         p = next_prime(floor)
     elif p <= floor:
         raise ValueError(f"modulus must be a prime above {floor}")
-    params = PcpParams(p, m, d, (0, 1))  # bounds p, then tests primality
+    params = SumcheckParams(p, m, d, (0, 1))  # bounds p, then tests primality
     assert params.meets_soundness_bound
     poly = arithmetize(cnf, p)
     return SharpSatPcp(cnf, claimed_count, params, poly)

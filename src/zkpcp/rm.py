@@ -137,7 +137,7 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
         cols = exps[i] <= view.dv[i] - len(s_i)
         blocks.append(z[:, None] * full[:, cols] % p)
     g = np.concatenate(blocks, axis=1)
-    h = image_dual_basis(g, np.zeros((0, g.shape[1]), dtype=np.int64), p)
+    h = image_dual_basis(g, p)
     return ConstraintBasis(dom, h)
 
 

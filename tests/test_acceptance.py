@@ -19,7 +19,7 @@ from zkpcp.linalg import spans_equal
 from zkpcp.oracles import _digit_matrix
 from zkpcp.pcp import (
     CnfInstance,
-    PcpParams,
+    SumcheckParams,
     arithmetize,
     line_test_count,
     pcp_for_sharp_sat,
@@ -356,7 +356,7 @@ def test_criterion_5_perfect_zero_knowledge_exact():
 def test_criterion_6_completeness():
     t0 = time.time()
     # exhaustive verifier-coin sweep at p=11, m=1, d=3
-    params = PcpParams(11, 1, 3, (0, 1))
+    params = SumcheckParams(11, 1, 3, (0, 1))
     poly = MultiPoly(11, np.array([1, 2, 3, 4], dtype=np.int64))
     gamma_proof = prove(poly, params, random.Random(5))
     r = line_test_count(params)
@@ -369,7 +369,7 @@ def test_criterion_6_completeness():
         )
         sweep_rejects += not res.accepted
     # 1000 seeded trials at p=101, m=3, d=3
-    params3 = PcpParams(101, 3, 3, (0, 1))
+    params3 = SumcheckParams(101, 3, 3, (0, 1))
     c = np.zeros((3, 3, 3), dtype=np.int64)
     c[1, 1, 1] = 1
     c[2, 0, 1] = 7
@@ -399,7 +399,7 @@ def test_criterion_7_soundness_empirical():
         res = bundle.verify(cheat, random.Random(f"cv:{seed}"))
         rejected += not res.accepted
 
-    params = PcpParams(101, 2, 3, (0, 1))
+    params = SumcheckParams(101, 2, 3, (0, 1))
     coeffs = np.zeros((2, 2), dtype=np.int64)
     coeffs[1, 1] = 1
     poly = MultiPoly(101, coeffs)

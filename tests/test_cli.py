@@ -159,9 +159,9 @@ def test_simulate_failure_keeps_answered_views(tmp_path):
     p=5, m=2 on the CLI's seed-0 instance, through the CLI's seed-0 session,
     up to and including the query that fails."""
     from zkpcp.cli import random_instance, trial_rng
-    from zkpcp.pcp import PcpParams, SimulatorSession, verify
+    from zkpcp.pcp import SimulatorSession, SumcheckParams, verify
 
-    params = PcpParams(5, 2, 3, (0, 1))
+    params = SumcheckParams(5, 2, 3, (0, 1))
     poly, gamma = random_instance(params, 0)
     sim = SimulatorSession(params, poly.eval, gamma, trial_rng(0, 0))
     asked = []
@@ -298,10 +298,10 @@ def test_verify_checks_every_entry_of_the_file(cnf_file, tmp_path):
 
 def test_proof_file_is_read_into_an_aligned_frozen_image(tmp_path):
     from zkpcp.cli import read_proof_file
-    from zkpcp.pcp import PcpParams, deserialize_proof, prove, serialize_proof
+    from zkpcp.pcp import SumcheckParams, deserialize_proof, prove, serialize_proof
     from zkpcp.poly import MultiPoly
 
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     poly = MultiPoly(11, np.eye(2, dtype=np.int64)[::-1])
     blob = serialize_proof(prove(poly, params, random.Random(0)))
     path = tmp_path / "p.bin"
@@ -447,6 +447,49 @@ def test_one_degree_commands_refuse_unequal_degree_vectors(command, script_file)
     code, recs = run_cli(*args, "--degree", "3,3")
     assert code == 0 and recs == run_cli(*args, "--degree", "3")[1]
     assert (recs[-1]["d"] == 3) if command == "simulate" else (recs[-1]["failures"] == 0)
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit-zk"])
+def test_simulator_commands_refuse_zero_variables(command, script_file):
+    """A proof word of arity 0 has no view to simulate: the simulator's view
+    refuses m < 1 with an error record and exit 2, not a traceback."""
+    code, recs = run_cli(command, "--script", script_file, "--m", "0")
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "m >= 1" in recs[0]["message"]
+
+
+def test_a_zero_variable_formula_proves_and_verifies(tmp_path):
+    """The empty formula has one model, the empty assignment; its proof holds
+    Q at the one point of F^0 and has no line to test."""
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("p cnf 0 0\n")
+    out = tmp_path / "empty.proof"
+    code, recs = run_cli("prove", "--cnf", str(cnf), "--count", "1", "--out", str(out))
+    assert code == 0 and (recs[0]["m"], recs[0]["p"]) == (0, 5)
+    code, recs = run_cli(
+        "verify", "--cnf", str(cnf), "--count", "1", "--proof", str(out), "--trials", "3"
+    )
+    assert code == 0 and recs[-1]["accepts"] == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit-zk"])
+@pytest.mark.parametrize(
+    "given", [("--m", "5"), ("--degree", "3,9"), ("--h-set", "0,1,2"),
+              ("--m", "5", "--degree", "3,9", "--h-set", "0,1,2")]
+)
+def test_cnf_commands_refuse_the_options_the_formula_fixes(command, given, cnf_file, script_file):
+    """With --cnf the formula fixes m, d and H: --m, --degree and --h-set are
+    refused with an error record and exit 2, not parsed and dropped."""
+    args = [command, "--cnf", cnf_file, "--count", "3", "--field", "61", "--script", script_file]
+    code, recs = run_cli(*args, *given)
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "--cnf" in recs[0]["message"]
+    code, recs = run_cli(*args)
+    assert code == 0
+    if command == "simulate":
+        assert (recs[-1]["m"], recs[-1]["d"]) == (2, 3)
 
 
 def test_audit_zk_checks_the_dimension_before_building_an_instance(monkeypatch, capsys):

@@ -21,7 +21,6 @@ from zkpcp.linalg import spans_equal
 from zkpcp.oracles import antisym_basis
 from zkpcp.pcp import (
     CnfInstance,
-    PcpParams,
     ProofOracle,
     SimulatorSession,
     SumcheckParams,
@@ -40,6 +39,7 @@ from zkpcp.pcp import (
 from zkpcp.poly import (
     MultiPoly,
     eval_univariate,
+    lagrange_univariate,
     power_table,
     subcube_sum,
     univariate_from_roots,
@@ -121,18 +121,14 @@ def test_params_validation():
         SumcheckParams(4, 1, 3, (0, 1))  # not prime
     with pytest.raises(ValueError):
         SumcheckParams(11, 1, 2, (0, 1))  # d < |H| + 1
-    with pytest.raises(ValueError):
-        PcpParams(11, 1, 3, (0, 1), (0, 1, 2))  # too few nodes
-    with pytest.raises(ValueError):
-        PcpParams(31, 1, 3, (0, 5))  # H not inside default nodes
-    p = PcpParams(61, 2, 3, (0, 1))
+    p = SumcheckParams(61, 2, 3, (0, 1))
     assert p.nodes == (0, 1, 2, 3)
     assert p.meets_soundness_bound
-    assert not PcpParams(31, 2, 3, (0, 1)).meets_soundness_bound
+    assert not SumcheckParams(31, 2, 3, (0, 1)).meets_soundness_bound
 
 
 def test_prove_deterministic_given_seed():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     a = prove(poly, params, random.Random(9))
     b = prove(poly, params, random.Random(9))
@@ -142,7 +138,7 @@ def test_prove_deterministic_given_seed():
 
 
 def test_prove_names_the_wrong_arity():
-    params = PcpParams(5, 2, 3, (0, 1))
+    params = SumcheckParams(5, 2, 3, (0, 1))
     cube3 = MultiPoly(5, np.ones((2, 2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="instance polynomial has arity 3, expected 2"):
         prove(cube3, params, random.Random(0))
@@ -152,7 +148,7 @@ def test_prove_names_the_wrong_arity():
 
 
 def test_honest_proof_structure_and_total():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 61
     for seed in range(5):
@@ -168,7 +164,7 @@ def test_honest_proof_structure_and_total():
 
 
 def test_completeness_small_field_many_seeds():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     for seed in range(20):
         proof = prove(poly, params, random.Random(seed))
@@ -177,7 +173,7 @@ def test_completeness_small_field_many_seeds():
 
 
 def test_query_count_bound():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     proof = prove(poly, params, random.Random(0))
     res = verify(poly.eval, params, proof, random.Random(1))
@@ -231,7 +227,7 @@ def test_shifted_prover_rejected_often():
 
 
 def test_random_q_corruption_caught_by_line_test():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     caught = 0
     trials = 40
@@ -246,7 +242,7 @@ def test_random_q_corruption_caught_by_line_test():
 
 
 def test_serialization_roundtrip_and_errors():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     proof = prove(poly, params, random.Random(3))
     blob = serialize_proof(proof)
@@ -262,7 +258,7 @@ def test_serialization_roundtrip_and_errors():
 
 
 def test_deserialize_rejects_entries_outside_the_field():
-    params = PcpParams(61, 2, 3, (0, 1))
+    params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     proof = prove(poly, params, random.Random(3))
     for table in ("q", "sigma1"):
@@ -304,14 +300,14 @@ def test_deserialize_checks_header_before_allocating():
             deserialize_proof(blob)
     # a reordered summation set names the same parameters but would not
     # serialise back to the same bytes
-    blob = serialize_proof(prove(xy_poly(5), PcpParams(5, 2, 3, (0, 1)), random.Random(1)))
+    blob = serialize_proof(prove(xy_poly(5), SumcheckParams(5, 2, 3, (0, 1)), random.Random(1)))
     swapped = bytes(blob[:36]) + blob[44:52] + blob[36:44] + blob[52:]
     with pytest.raises(ValueError, match="strictly increasing"):
         deserialize_proof(swapped)
 
 
 def test_deserialize_fuzz_roundtrips_or_raises_value_error():
-    params = PcpParams(5, 2, 3, (0, 1))
+    params = SumcheckParams(5, 2, 3, (0, 1))
     proof = prove(xy_poly(5), params, random.Random(1))
     blob = serialize_proof(proof)
     head = len(blob) - 8 * sum(t.size for t in [*proof.sigma, proof.q, *proof.t])
@@ -347,7 +343,7 @@ GOLDEN_SHARP_SAT_SHA256 = "20a79b2720749f52e1c060529f9bb684f93c2f9f070157c78c0c1
 
 
 def test_proof_bytes_match_golden():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     for seed, digest in enumerate(GOLDEN_PROOF_SHA256):
         blob = serialize_proof(prove(xy_poly(11), params, random.Random(seed)))
         assert hashlib.sha256(blob).hexdigest() == digest
@@ -483,7 +479,7 @@ def test_verifier_reads_each_logged_entry_once():
 
 
 def test_oracle_reads_return_ints_and_refuse_points_no_proof_holds():
-    params = PcpParams(5, 2, 3, (0, 1))
+    params = SumcheckParams(5, 2, 3, (0, 1))
     proof = prove(xy_poly(5), params, random.Random(1))
     blob = serialize_proof(proof)
     in_place = deserialize_proof(bytes(blob))
@@ -519,7 +515,7 @@ def test_oracle_reads_return_ints_and_refuse_points_no_proof_holds():
 
 
 def test_serialize_ignores_table_layout():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     proof = prove(xy_poly(11), params, random.Random(0))
     blob = serialize_proof(proof)
     assert all(t.flags.c_contiguous for t in [*proof.sigma, proof.q, *proof.t])
@@ -540,7 +536,7 @@ def test_serialize_ignores_table_layout():
 
 
 def test_deserialized_tables_are_read_only_views():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     proof = prove(xy_poly(11), params, random.Random(1))
     blob = serialize_proof(proof)
     back = deserialize_proof(blob)
@@ -554,7 +550,7 @@ def test_deserialized_tables_are_read_only_views():
 
 
 def test_serialized_proof_is_a_read_only_aligned_image():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     proof = prove(xy_poly(11), params, random.Random(1))
     blob = serialize_proof(proof)
     words = 11 + sum(t.size for t in [*proof.sigma, proof.q, *proof.t])
@@ -572,7 +568,7 @@ def test_serialized_proof_is_a_read_only_aligned_image():
 
 
 def test_deserialize_copies_buffers_that_can_change():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     proof = prove(xy_poly(11), params, random.Random(1))
     wire = bytes(serialize_proof(proof))
     # (what the decoder is given, a writable handle on the same memory)
@@ -617,7 +613,7 @@ def copy_path_wire(proof, tables=None):
 
 
 def test_prove_tables_are_read_only():
-    proof = prove(xy_poly(11), PcpParams(11, 2, 3, (0, 1)), random.Random(0))
+    proof = prove(xy_poly(11), SumcheckParams(11, 2, 3, (0, 1)), random.Random(0))
     for t in [*proof.sigma, proof.q, *proof.t]:
         assert t.dtype == np.int64 and t.flags.c_contiguous and t.flags.aligned
         assert not t.flags.writeable
@@ -628,7 +624,7 @@ def test_prove_tables_are_read_only():
 
 
 def test_serialize_returns_the_image_prove_wrote():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     proof = prove(xy_poly(11), params, random.Random(1))
     blob = serialize_proof(proof)
     assert np.shares_memory(blob, proof.q)
@@ -642,7 +638,7 @@ def test_serialize_returns_the_image_prove_wrote():
 
 
 def test_serialize_of_a_proof_decoded_in_place_shares_its_input():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     blob = serialize_proof(prove(xy_poly(11), params, random.Random(1)))
     for fixed in (blob, bytes(blob)):
         again = serialize_proof(deserialize_proof(fixed))
@@ -651,14 +647,14 @@ def test_serialize_of_a_proof_decoded_in_place_shares_its_input():
 
 
 def test_a_proof_cannot_change():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     poly = xy_poly(11)
     proof = prove(poly, params, random.Random(1))
     want = bytes(serialize_proof(proof))
     queries = verify(poly.eval, params, proof, random.Random(2)).queries
     other = prove(poly, params, random.Random(7))
     for name, value in [("q", proof.q.copy()), ("wire", other.wire),
-                        ("params", PcpParams(11, 2, 3, (0, 1), (0, 1, 2, 4)))]:
+                        ("params", SumcheckParams(11, 2, 3, (0, 2)))]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(proof, name, value)
     proof.sigma[1] = other.sigma[1]
@@ -668,14 +664,14 @@ def test_a_proof_cannot_change():
     assert bytes(serialize_proof(proof)) == want == copy_path_wire(proof)
     # the wire must carry the header of the parameters it is given with
     with pytest.raises(ValueError, match="image of the parameters"):
-        ProofOracle(PcpParams(11, 2, 3, (0, 1), (0, 1, 2, 4)), proof.wire)
+        ProofOracle(SumcheckParams(11, 2, 3, (0, 2)), proof.wire)
     with pytest.raises(ValueError, match="image of the parameters"):
         ProofOracle(params, memoryview(bytearray(proof.wire)))
 
 
 def test_proof_from_tables_copies_into_an_image_of_its_own():
     # criterion 7 corrupts q this way on every trial
-    params = PcpParams(101, 2, 3, (0, 1))
+    params = SumcheckParams(101, 2, 3, (0, 1))
     poly = xy_poly(101)
     for seed in range(3):
         proof = prove(poly, params, random.Random(f"h:{seed}"))
@@ -694,20 +690,49 @@ def test_proof_from_tables_copies_into_an_image_of_its_own():
         proof_from_tables(params, proof.sigma, proof.q, proof.t + [proof.q])
 
 
-def test_prove_refuses_params_without_reading_nodes():
-    # the wire header names the verifier's reading nodes
+def test_params_without_reading_nodes_are_refused_where_nodes_are_read():
+    # the verifier reads each round at the nodes 0..d, which must be field
+    # elements (d < p) holding H; only prove, verify and the codec read them
+    for params, why in [(SumcheckParams(5, 1, 5, (0, 1)), "d < p"),
+                        (SumcheckParams(31, 1, 3, (0, 5)), "contained in the nodes")]:
+        poly = MultiPoly(params.p, np.ones(params.d + 1, dtype=np.int64))
+        with pytest.raises(ValueError, match=why):
+            prove(poly, params, random.Random(0))
+        with pytest.raises(ValueError, match=why):
+            verify(poly.eval, params, None, random.Random(0))
+        head = [params.p, 1, params.d, len(params.h), *params.h,
+                params.d + 1, *range(params.d + 1)]
+        words = 1 + 3 * params.p
+        blob = b"ZKP1" + struct.pack(f"<{len(head)}Q", *head) + bytes(8 * words)
+        with pytest.raises(ValueError, match=why):
+            deserialize_proof(blob)
+
+
+def test_decoder_refuses_nodes_other_than_0_to_d():
     params = SumcheckParams(11, 2, 3, (0, 1))
-    proof = prove(xy_poly(11), PcpParams(11, 2, 3, (0, 1)), random.Random(0))
-    with pytest.raises(ValueError, match="reading nodes"):
-        prove(xy_poly(11), params, random.Random(0))
-    with pytest.raises(ValueError, match="reading nodes"):
-        proof_from_tables(params, proof.sigma, proof.q, proof.t)
-    with pytest.raises(ValueError, match="reading nodes"):
-        ProofOracle(params, proof.wire)
+    blob = bytearray(serialize_proof(prove(xy_poly(11), params, random.Random(0))))
+    # header words: p, m, d, |H|, H..., |D|, D...; the last node is word 10
+    assert struct.unpack_from("<11Q", blob, 4)[6:] == (4, 0, 1, 2, 3)
+    struct.pack_into("<Q", blob, 4 + 8 * 10, 4)
+    with pytest.raises(ValueError, match="0..d"):
+        deserialize_proof(bytes(blob))
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_extension_matches_horner_on_the_interpolant(p):
+    rng = random.Random(p)
+    for d in range(min(p, 6)):
+        nodes = tuple(range(d + 1))
+        vals = [rng.randrange(p) for _ in nodes]
+        coeffs = sum(v * lagrange_univariate(nodes, w, p) for v, w in zip(vals, nodes)) % p
+        ext = pcp._extension(nodes, p)
+        assert not ext.flags.writeable
+        want = [eval_univariate(coeffs, x, p) for x in range(p)]
+        assert (ext @ np.array(vals) % p).tolist() == want
 
 
 def test_deserialized_copies_are_aligned_images():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     blob = serialize_proof(prove(xy_poly(11), params, random.Random(1)))
     for given in (bytearray(blob), memoryview(bytearray(blob))):
         back = deserialize_proof(given)
@@ -743,7 +768,7 @@ def _held_arrays(held):
 
 
 def test_held_images_keep_their_bytes_across_later_proves():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     poly = xy_poly(11)
     for kind in ("table view", "serialize memoryview", "proof decoded in place",
                  "frombuffer view", "proof_from_tables wire", "proof decoded from a copy"):
@@ -760,7 +785,7 @@ def test_held_images_keep_their_bytes_across_later_proves():
 
 
 def test_a_dropped_image_is_reused():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     poly = xy_poly(11)
     want = bytes(serialize_proof(prove(poly, params, random.Random(2))))
     proof = prove(poly, params, random.Random(1))
@@ -777,22 +802,22 @@ def test_a_dropped_image_is_reused():
 
 def test_at_most_two_images_stay_pooled():
     poly = xy_poly(11)
-    proofs = [prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (1, 2)]
-    proofs += [prove(xy_poly(p), PcpParams(p, 2, 3, (0, 1)), random.Random(0))
+    proofs = [prove(poly, SumcheckParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (1, 2)]
+    proofs += [prove(xy_poly(p), SumcheckParams(p, 2, 3, (0, 1)), random.Random(0))
                for p in (13, 17)]
     assert len(pcp._POOL) == 2
     del proofs
-    proof = prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(3))
+    proof = prove(poly, SumcheckParams(11, 2, 3, (0, 1)), random.Random(3))
     assert len(pcp._POOL) <= 2 and pcp._POOL[-1] is proof.wire.obj
     # both same-size images were free: one is reused, the other dropped
-    a, b = (prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (4, 5))
+    a, b = (prove(poly, SumcheckParams(11, 2, 3, (0, 1)), random.Random(s)) for s in (4, 5))
     del proof, a, b
-    proof = prove(poly, PcpParams(11, 2, 3, (0, 1)), random.Random(6))
+    proof = prove(poly, SumcheckParams(11, 2, 3, (0, 1)), random.Random(6))
     assert len(pcp._POOL) == 1 and pcp._POOL[0] is proof.wire.obj
 
 
 def test_concurrent_proves_match_a_sequential_run(monkeypatch):
-    params = PcpParams(31, 3, 3, (0, 1))
+    params = SumcheckParams(31, 3, 3, (0, 1))
     poly = MultiPoly(31, np.arange(8, dtype=np.int64).reshape(2, 2, 2))
 
     def run(seeds):
@@ -937,7 +962,7 @@ def test_mask_identity_is_the_params_mask_terms(p, m):
     """At every full-arity point of an honest proof, sigma = F + the mask as
     ``params.mask_terms`` weighs it; ``mask_row`` carries exactly those
     weights, plus -1 on sigma, and the honest values satisfy it."""
-    params = PcpParams(p, m, 3, (0, 1))
+    params = SumcheckParams(p, m, 3, (0, 1))
     rng = random.Random(p * m)
     poly = MultiPoly(p, Field(p).sample_array(rng, (4,) * m))
     proof = prove(poly, params, rng)
@@ -984,7 +1009,7 @@ class _SimulatedProof:
 def test_honest_verifier_accepts_simulated_view():
     # Completeness against the simulator: the verifier cannot tell the
     # simulated oracle from a real proof, so every run accepts.
-    params = PcpParams(11, 1, 3, (0, 1))
+    params = SumcheckParams(11, 1, 3, (0, 1))
     rng = random.Random(2)
     poly = MultiPoly(11, np.array([3, 1, 4, 1], dtype=np.int64))
     gamma = sum(poly.eval((a,)) for a in (0, 1)) % 11
@@ -1034,7 +1059,7 @@ def test_failed_extend_poisons_the_session(monkeypatch):
     # past the answered values.
     import zkpcp.pcp as pcp
 
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     sim = SimulatorSession(params, xy_poly(11).eval, 1, random.Random(0))
     sim.query("sigma", (3,))
     monkeypatch.setattr(pcp, "sample_new", lambda *args: None)
@@ -1100,7 +1125,7 @@ def test_simulator_transcripts_match_golden(params, poly, gamma, steps, golden):
 
 def _honest_transcript_m2():
     """The honest verifier's 193 queries at p=5, m=2 on F = X1*X2, coins 2."""
-    params = PcpParams(5, 2, 3, (0, 1))
+    params = SumcheckParams(5, 2, 3, (0, 1))
     poly = xy_poly(5)
     res = verify(poly.eval, params, prove(poly, params, random.Random(0)),
                  random.Random(2), gamma=1)
@@ -1135,7 +1160,7 @@ def test_audit_long_m2_transcript():
     "the joint (sigma, Q, T) code, so a complete honest view turns inconsistent",
 )
 def test_honest_verifier_accepts_simulated_view_m2():
-    params = PcpParams(11, 2, 3, (0, 1))
+    params = SumcheckParams(11, 2, 3, (0, 1))
     poly = xy_poly(11)
     sim = SimulatorSession(params, poly.eval, 1, random.Random(0))
     res = verify(poly.eval, params, _SimulatedProof(sim), random.Random(2), gamma=1)
