@@ -83,45 +83,28 @@ class PrefixFreeFamily:
 
 
 def prefix_free(pts: Sequence[Point], a: ProductSet) -> PrefixFreeFamily:
-    """Iteratively split the shortest prefix that strictly contains another.
+    """The coarsest prefix-free cover of the input cubes.
 
-    Ties broken lexicographically (both for the split point and the
-    conflicting child), making the output deterministic. |g| <= |pts| * m.
+    A node is split when it lies on the path from an input x down to a
+    longer input y that x prefixes, x included and y not. g is the unsplit
+    inputs plus the unsplit children of split nodes, and lam[x] is the
+    members of g under x. |g| <= |pts| * m.
     """
     inputs = dedup_points(pts)
     for pt in inputs:
         if not a.contains_prefix(pt):
             raise ValueError(f"point {pt} outside the prefix domain")
-    g: set[Point] = set(inputs)
-    lam: dict[Point, set[Point]] = {pt: {pt} for pt in inputs}
-    while True:
-        conflicted = sorted(
-            (x for x in g if any(y != x and is_prefix(x, y) for y in g)),
-            key=lambda q: (len(q), q),
-        )
-        if not conflicted:
-            break
-        star = conflicted[0]
-        children = sorted(
-            (y for y in g if y != star and is_prefix(star, y)),
-            key=lambda q: (len(q), q),
-        )
-        child = children[0]
-        g.remove(star)
-        added = []
-        for j in range(len(star), len(child)):
-            for b in a.factors[j]:
-                if b != child[j]:
-                    added.append(child[:j] + (b,))
-        g.update(added)
-        replacement = set(added) | {child}
-        for pt in inputs:
-            if star in lam[pt]:
-                lam[pt].remove(star)
-                lam[pt].update(replacement)
-    g_sorted = tuple(sort_points(g))
+    split = {
+        y[:j]
+        for x in inputs
+        for y in inputs
+        if len(x) < len(y) and is_prefix(x, y)
+        for j in range(len(x), len(y))
+    }
+    children = {v + (b,) for v in split for b in a.factors[len(v)]}
+    g = tuple(sort_points((set(inputs) | children) - split))
     return PrefixFreeFamily(
-        g_sorted, {pt: frozenset(lam[pt]) for pt in inputs}
+        g, {x: frozenset(q for q in g if is_prefix(x, q)) for x in inputs}
     )
 
 

@@ -204,8 +204,6 @@ def cmd_simulate(args) -> int:
     poly, gamma = instance()
     sim = SimulatorSession(params, poly.eval, gamma, trial_rng(args.seed, 0))
     answers: list[int] = []
-    records = []
-    status = 0
     for step in script:
         if not isinstance(step, ScriptStep):
             taken = step.then if answers[step.step] == step.equals else step.else_
@@ -214,31 +212,21 @@ def cmd_simulate(args) -> int:
             val = sim.query(step.oracle, step.point)
         except RuntimeError as exc:
             # the views answered before the failure stay in the output
-            records.append({"record": "error", "message": str(exc), "queries": len(records)})
-            status = 1
-            break
+            emit({"record": "error", "message": str(exc), "queries": len(answers)})
+            return 1
         answers.append(val)
-        records.append(
-            {"record": "view", "oracle": step.oracle, "point": list(step.point), "answer": val}
-        )
-    if status == 0:
-        records.append(
-            {
-                "record": "simulate",
-                "p": params.p,
-                "m": params.m,
-                "d": params.d,
-                "seed": args.seed,
-                "queries": len(records),
-            }
-        )
-    for rec in records:
-        emit(rec)
-    if args.out:
-        Path(args.out).write_text(
-            "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
-        )
-    return status
+        emit({"record": "view", "oracle": step.oracle, "point": list(step.point), "answer": val})
+    emit(
+        {
+            "record": "simulate",
+            "p": params.p,
+            "m": params.m,
+            "d": params.d,
+            "seed": args.seed,
+            "queries": len(answers),
+        }
+    )
+    return 0
 
 
 def cmd_audit_zk(args) -> int:
@@ -378,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf")
     p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("audit-zk", help="exact real-vs-simulated law comparison")

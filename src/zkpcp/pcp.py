@@ -68,11 +68,15 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
+    """One clause per line. A line holding only the terminator 0 is the empty
+    clause, and a % line ends the formula (SATLIB files end with % and 0)."""
     num_vars = None
     clauses: list[tuple[int, ...]] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -81,10 +85,9 @@ def parse_dimacs(text: str) -> CnfInstance:
             num_vars = int(parts[2])
             continue
         lits = [int(tok) for tok in line.split()]
-        if lits and lits[-1] == 0:
+        if lits[-1] == 0:
             lits = lits[:-1]
-        if lits:
-            clauses.append(tuple(lits))
+        clauses.append(tuple(lits))
     if num_vars is None:
         raise ValueError("missing DIMACS problem line")
     return CnfInstance(num_vars, tuple(clauses))

@@ -20,31 +20,19 @@ from .poly import vandermonde
 
 @dataclass(frozen=True)
 class CodeView:
-    """An individual-degree Reed-Muller code, optionally with a zero-set marker."""
+    """An individual-degree Reed-Muller code."""
 
     field: Field
     m: int
     dv: tuple[int, ...]
-    zero_on: Optional[ProductSet] = None
 
     def __post_init__(self):
         if len(self.dv) != self.m:
             raise ValueError("degree vector length must equal arity")
-        if self.zero_on is not None:
-            if self.zero_on.m != self.m:
-                raise ValueError("zero-set arity mismatch")
-            for d, f in zip(self.dv, self.zero_on.factors):
-                if d < len(f) - 1:
-                    raise ValueError(
-                        "need d_i >= |S_i| - 1 for the zero-code detector"
-                    )
 
     @property
     def p(self) -> int:
         return self.field.p
-
-    def with_degrees(self, dv: Sequence[int]) -> "CodeView":
-        return CodeView(self.field, self.m, tuple(dv), None)
 
 
 @dataclass(frozen=True)
@@ -108,8 +96,8 @@ def cd_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     return ConstraintBasis(dom, z)
 
 
-def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
-    """Constraint detector for the subcode vanishing on the marked product set.
+def cd_zero_rm(view: CodeView, s: ProductSet, pts: Sequence[Point]) -> ConstraintBasis:
+    """Constraint detector for the subcode vanishing on the product set s.
 
     By the combinatorial nullstellensatz, the polynomials of individual degree
     <= dv that vanish on S_1 x ... x S_m are exactly the sums
@@ -120,8 +108,10 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     the columns of one full-degree generator: the monomials whose exponent
     in axis i is at most d_i - |S_i|, in the same monomial order.
     """
-    if view.zero_on is None:
-        raise ValueError("view has no zero-set marker; use cd_rm")
+    if s.m != view.m:
+        raise ValueError("zero-set arity mismatch")
+    if any(d < len(f) - 1 for d, f in zip(view.dv, s.factors)):
+        raise ValueError("need d_i >= |S_i| - 1 for the zero-code detector")
     p = view.p
     dom = tuple(dedup_points(pts))
     if not dom:
@@ -130,7 +120,7 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     full = rm_generator(view, dom)
     exps = np.indices([d + 1 for d in view.dv]).reshape(view.m, full.shape[1])
     blocks = [np.zeros((len(dom), 0), dtype=np.int64)]
-    for i, s_i in enumerate(view.zero_on.factors):
+    for i, s_i in enumerate(s.factors):
         z = np.ones(len(dom), dtype=np.int64)
         for root in s_i:
             z = z * ((x[:, i] - root) % p) % p
@@ -141,19 +131,18 @@ def cd_zero_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
     return ConstraintBasis(dom, h)
 
 
-def code_restriction_basis(view: CodeView, pts: Sequence[Point]) -> np.ndarray:
-    """Rows span code|_pts (zero-on marker honoured); brute-force companion."""
+def code_restriction_basis(
+    view: CodeView, pts: Sequence[Point], zero_on: Optional[ProductSet] = None
+) -> np.ndarray:
+    """Rows span code|_pts, or with ``zero_on`` the subcode vanishing on
+    that product set; brute-force companion of the detectors."""
     dom = tuple(dedup_points(pts))
-    if view.zero_on is None:
-        g = rm_generator(view, dom)
-        return _col_span_rows(g, view.p)
-    # Zero code: restrict the coefficient space to kernel of cube evaluation.
-    full = rm_generator(CodeView(view.field, view.m, view.dv), dom)
-    cube_pts = list(view.zero_on.points())
-    cube_eval = rm_generator(CodeView(view.field, view.m, view.dv), cube_pts)
-    coeff_basis = kernel_basis(cube_eval, view.p)
-    rows = (coeff_basis @ full.T) % view.p
-    return _col_span_rows(rows.T, view.p)
+    g = rm_generator(view, dom)
+    if zero_on is not None:
+        # restrict the coefficient space to the kernel of cube evaluation
+        coeff_basis = kernel_basis(rm_generator(view, list(zero_on.points())), view.p)
+        g = (coeff_basis @ g.T % view.p).T
+    return _col_span_rows(g, view.p)
 
 
 def _col_span_rows(g: np.ndarray, p: int) -> np.ndarray:

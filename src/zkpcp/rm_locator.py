@@ -70,16 +70,10 @@ def check_constraints(view: CodeView, pts: Sequence[Point], s: ProductSet) -> bo
 
     Equivalent, by the zero-code transfer property, to the zero-code detector
     finding a constraint on pts minus the grid. Needs d_i >= |S_i| - 1 so the
-    grid itself is unconstrained.
+    grid itself is unconstrained, which ``cd_zero_rm`` checks.
     """
-    if s.m != view.m:
-        raise ValueError("product-set arity mismatch")
-    for d, f in zip(view.dv, s.factors):
-        if d < len(f) - 1:
-            raise ValueError("need d_i >= |S_i| - 1")
     outside = [pt for pt in dedup_points(pts) if not s.contains(pt)]
-    zview = CodeView(view.field, view.m, view.dv, zero_on=s)
-    return not cd_zero_rm(zview, outside).is_empty()
+    return not cd_zero_rm(view, s, outside).is_empty()
 
 
 def interpolating_set(view: CodeView, pts: Sequence[Point]) -> list[Point]:
@@ -98,8 +92,6 @@ def interpolating_set(view: CodeView, pts: Sequence[Point]) -> list[Point]:
 
 def require_locator_view(view: CodeView, a: ProductSet):
     """Refuse a code view the locators cannot serve for messages on a."""
-    if view.zero_on is not None:
-        raise ValueError("locator expects a plain code view")
     if a.m != view.m:
         raise ValueError("product-set arity mismatch")
     for d, f in zip(view.dv, a.factors):
@@ -149,7 +141,7 @@ def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOut
 def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> LocatorOutput:
     """``rm_locate`` by search, on checked and deduplicated full-arity points."""
     dprime = tuple(d - (len(f) - 1) for d, f in zip(view.dv, a.factors))
-    dview = view.with_degrees(dprime)
+    dview = CodeView(view.field, view.m, dprime)
     # The interpolating set lives at the reduced degree: the search's
     # decision procedure runs there, and the per-level accounting needs the
     # set to be unconstrained at that degree (at the full degree it may

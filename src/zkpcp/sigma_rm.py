@@ -12,16 +12,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .domains import Point, ProductSet, a_closure, dedup_points, sort_points
+from .domains import Point, ProductSet, a_closure, dedup_points, starred
 from .linalg import project_constraints
 from .rm import CodeView
-from .rm_locator import (
-    LocatorOutput,
-    copy_rows,
-    require_locator_view,
-    rm_locate,
-    systematic_locate,
-)
+from .rm_locator import LocatorOutput, copy_rows, require_locator_view, rm_locate
 
 
 def summation_rows(
@@ -29,18 +23,11 @@ def summation_rows(
 ) -> list[np.ndarray]:
     """Parent-minus-children rows for every starred point of the set, over
     ``width`` columns with each point's column given by ``col``."""
-    s = set(pts)
     rows = []
-    for pt in sort_points(s):
-        if len(pt) >= a.m:
-            continue
-        kids = [pt + (v,) for v in a.factors[len(pt)]]
-        if not any(k in s for k in kids):
-            continue
+    for pt in starred(pts, a):
         row = np.zeros(width, dtype=np.int64)
         row[col[pt]] = 1
-        for k in kids:
-            row[col[k]] = (row[col[k]] - 1) % p
+        row[[col[pt + (v,)] for v in a.factors[len(pt)]]] = p - 1
         rows.append(row)
     return rows
 
@@ -59,7 +46,8 @@ def sigma_rm_locate(
     union of message sets, ties the layers with summation rows, and projects
     the kernel onto message columns plus the original queries.
 
-    A layer inside the product set is systematic and needs no search.
+    ``rm_locate`` answers a layer inside the product set systematically,
+    with no search.
     ``located``, when given, is a caller-owned map from (arity, layer) to the
     plain locator's output on that layer. A layer already in it is not
     located again, and each new one is added. The output is a pure function
@@ -69,9 +57,6 @@ def sigma_rm_locate(
     require_locator_view(view, a)
     p = view.p
     queries = dedup_points(pts)
-    for pt in queries:
-        if len(pt) > view.m:
-            raise ValueError(f"point {pt} longer than arity {view.m}")
     ihat = a_closure(queries, a)
     located = {} if located is None else located
 
@@ -83,11 +68,7 @@ def sigma_rm_locate(
             continue
         key = (i, tuple(layer))
         if key not in located:
-            view_i, a_i = CodeView(view.field, i, view.dv[:i]), a.prefix(i)
-            if all(a_i.contains(q) for q in layer):
-                located[key] = systematic_locate(view_i, layer)
-            else:
-                located[key] = rm_locate(view_i, a_i, layer)
+            located[key] = rm_locate(CodeView(view.field, i, view.dv[:i]), a.prefix(i), layer)
         loc = located[key]
         per_arity.append(loc)
         r_all.extend(loc.r)

@@ -192,8 +192,7 @@ def _theorem_span_rows(view, a, s_pts, zero_on_cube):
         if not layer:
             continue
         if zero_on_cube:
-            zview = CodeView(view.field, i, view.dv[:i], zero_on=a.prefix(i))
-            cb = cd_zero_rm(zview, layer)
+            cb = cd_zero_rm(CodeView(view.field, i, view.dv[:i]), a.prefix(i), layer)
         else:
             cb = cd_rm(CodeView(view.field, i, view.dv[:i]), layer)
         for z in cb.z:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -103,6 +104,51 @@ def test_prefix_free_cover_and_size_bound():
                 assert cover == set(a.cube_of(pt))
                 # pieces are pairwise disjoint
                 assert sum(cube_size(a, q) for q in fam.lam[pt]) == len(cover)
+
+
+def random_prefix_sets(rng, count):
+    """Seeded (product set, prefix points) pairs: m <= 4, |A_i| <= 3 and at
+    most 6 points, duplicates and the empty prefix included."""
+    for _ in range(count):
+        m = rng.randint(0, 4)
+        a = ProductSet(tuple(tuple(rng.sample(range(5), rng.randint(1, 3))) for _ in range(m)))
+        pts = [
+            tuple(rng.choice(a.factors[i]) for i in range(rng.randint(0, m)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        yield a, pts
+
+
+def test_prefix_free_is_the_coarsest_cover():
+    """Each input cube is the disjoint union of its pieces, the pieces are
+    exactly g, and a piece that is not an input was cut off a node lying
+    between an input and a longer input it prefixes."""
+    for a, pts in random_prefix_sets(random.Random(7), 300):
+        fam = prefix_free(pts, a)
+        inputs = set(pts)
+        assert is_prefix_free(fam.g) and set(fam.lam) == inputs
+        assert set().union(*fam.lam.values()) == set(fam.g)
+        for x in inputs:
+            assert all(q[: len(x)] == x for q in fam.lam[x])
+            cover = [c for q in fam.lam[x] for c in a.cube_of(q)]
+            assert sorted(cover) == sorted(a.cube_of(x))
+        for q in set(fam.g) - inputs:
+            parent = q[:-1]
+            assert any(
+                parent[: len(x)] == x and len(parent) < len(y) and y[: len(parent)] == parent
+                for x in inputs
+                for y in inputs
+            ), (pts, q)
+
+
+def test_prefix_free_sweep_is_pinned():
+    # recorded on the iterative split-until-fixpoint construction
+    digest = hashlib.sha256()
+    for a, pts in random_prefix_sets(random.Random(19), 500):
+        fam = prefix_free(pts, a)
+        lam = sorted((x, sorted(v)) for x, v in fam.lam.items())
+        digest.update(repr((fam.g, lam)).encode())
+    assert digest.hexdigest() == "e401d488bb324f7cbca0563a18e95c6b156d13e3087a1a6161d023245e9b275a"
 
 
 def brute_sigma_antisym_dual(g_pts, a, p):

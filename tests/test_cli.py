@@ -416,11 +416,12 @@ UNREAD = {
     "locate-seed": ("locate", "--code", "rm", "--points", "[[0,2]]", "--seed", "1"),
     "detect-h-set": ("detect", "--points", "[[0,2]]", "--h-set", "0,1"),
     "detect-seed": ("detect", "--points", "[[0,2]]", "--seed", "1"),
+    "simulate-out": ("simulate", "--field", "5", "--m", "2", "--out", "/dev/null"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREAD))
-def test_commands_refuse_options_they_do_not_read(case, cnf_file, tmp_path):
+def test_commands_refuse_options_they_do_not_read(case, cnf_file, script_file, tmp_path):
     """An option a command would parse and then ignore is not registered:
     argparse refuses it with exit 2 before the command runs."""
     out = tmp_path / "x.bin"
@@ -430,6 +431,8 @@ def test_commands_refuse_options_they_do_not_read(case, cnf_file, tmp_path):
     elif command == "verify":
         run_cli("prove", "--cnf", cnf_file, "--count", "3", "--out", str(out))
         rest += ["--cnf", cnf_file, "--count", "3", "--proof", str(out)]
+    elif command == "simulate":
+        rest += ["--script", script_file]
     code, recs = run_cli(command, *rest)
     assert code == 2 and recs == []
     assert out.exists() == (command == "verify")
@@ -471,6 +474,25 @@ def test_a_zero_variable_formula_proves_and_verifies(tmp_path):
         "verify", "--cnf", str(cnf), "--count", "1", "--proof", str(out), "--trials", "3"
     )
     assert code == 0 and recs[-1]["accepts"] == 3
+
+
+def test_a_formula_with_an_empty_clause_proves_count_0(tmp_path):
+    """An empty clause has no satisfying literal, so the formula has no model:
+    its proof claims 0 and verifies, and the count without that clause (3)
+    is refused with no file written."""
+    cnf = tmp_path / "e.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n0\n")
+    out = tmp_path / "e.proof"
+    code, recs = run_cli("prove", "--cnf", str(cnf), "--count", "0", "--out", str(out))
+    assert code == 0 and recs[0]["claimed_count"] == 0
+    code, recs = run_cli(
+        "verify", "--cnf", str(cnf), "--count", "0", "--proof", str(out), "--trials", "3"
+    )
+    assert code == 0 and recs[-1]["accepts"] == 3
+    out.unlink()
+    code, recs = run_cli("prove", "--cnf", str(cnf), "--count", "3", "--out", str(out))
+    assert code == 2 and recs[-1]["record"] == "error"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "audit-zk"])

@@ -100,6 +100,12 @@ p cnf 3 2
     assert cnf.clauses == ((1, -2), (2, 3))
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")
+    # a clause of only the terminator is the empty clause: no model
+    empty = parse_dimacs("p cnf 0 1\n0\n")
+    assert empty.clauses == ((),) and empty.model_count() == 0
+    assert parse_dimacs("p cnf 2 2\n1 2 0\n0\n").clauses == ((1, 2), ())
+    # SATLIB's trailer: a % line ends the formula, so its 0 is no clause
+    assert parse_dimacs("p cnf 2 1\n1 2 0\n%\n0\n").clauses == ((1, 2),)
 
 
 def test_modulus_bound_checked_before_primality():
@@ -1151,6 +1157,31 @@ def test_audit_long_m2_transcript_prefix():
 def test_audit_long_m2_transcript():
     params, poly, steps = _honest_transcript_m2()
     assert audit_script(params, poly, 1, steps).tv == 0
+
+
+# ROADMAP item 1's smallest failing view at p=5, m=2, F = X1*X2, gamma 1:
+# removing any one query makes it pass, and the failure depends on the order
+SMALL_M2_VIEW = [("sigma", (3,)), ("sigma", (0, 0)), ("sigma", (0, 1)), ("sigma", (0, 3)),
+                 ("q", (2, 1)), ("q", (3, 1)), ("q", (2, 2)), ("q", (2, 3)), ("q", (2, 4)),
+                 ("q", (4, 0))]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AuditError,
+    reason="known defect: at m=2 the simulator's rows do not span the dual of "
+    "the joint (sigma, Q, T) code, so this 10-query view breaks the chained law",
+)
+def test_audit_small_m2_view():
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    steps = [ScriptStep(o, pt) for o, pt in SMALL_M2_VIEW]
+    assert audit_script(params, xy_poly(5), 1, steps).tv == 0
+
+
+def test_audit_small_m2_view_reversed():
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    steps = [ScriptStep(o, pt) for o, pt in reversed(SMALL_M2_VIEW)]
+    assert audit_script(params, xy_poly(5), 1, steps).tv == 0
 
 
 @pytest.mark.xfail(

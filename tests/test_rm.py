@@ -13,8 +13,9 @@ from zkpcp.poly import eval_monomial, monomial_exponents
 from zkpcp.rm import CodeView, cd_rm, cd_zero_rm, code_restriction_basis, rm_generator
 
 
-def all_codewords(view, pts):
-    """Restrictions of every polynomial of the view's degrees to pts.
+def all_codewords(view, pts, zero_on=None):
+    """Restrictions of every polynomial of the view's degrees to pts, or of
+    those vanishing on the product set ``zero_on``.
 
     Vectorised over the coefficient space; intended for spaces of at most a
     few hundred thousand polynomials.
@@ -25,8 +26,8 @@ def all_codewords(view, pts):
     total = p**n
     assert total <= 2_000_000, "enumeration too large for a test oracle"
     eval_pts = list(pts)
-    extra = list(view.zero_on.points()) if view.zero_on is not None else []
-    g = rm_generator(CodeView(view.field, view.m, view.dv), eval_pts + extra)
+    extra = list(zero_on.points()) if zero_on is not None else []
+    g = rm_generator(view, eval_pts + extra)
     digits = np.empty((n, total), dtype=np.int64)
     reps = 1
     for j in range(n):
@@ -210,14 +211,14 @@ def test_unconstrained_equivalence(p):
 def test_cd_zero_rm_example_single_point_free():
     # m=1, d=2, S={0,1}: codewords c (X^2 - X); at x=2 the value 2c covers F5.
     f = Field(5)
-    view = CodeView(f, 1, (2,), zero_on=ProductSet(((0, 1),)))
-    assert cd_zero_rm(view, [(2,)]).is_empty()
+    view = CodeView(f, 1, (2,))
+    assert cd_zero_rm(view, ProductSet(((0, 1),)), [(2,)]).is_empty()
 
 
 def test_cd_zero_rm_example_two_points_row():
     f = Field(5)
-    view = CodeView(f, 1, (2,), zero_on=ProductSet(((0, 1),)))
-    out = cd_zero_rm(view, [(2,), (3,)])
+    view = CodeView(f, 1, (2,))
+    out = cd_zero_rm(view, ProductSet(((0, 1),)), [(2,), (3,)])
     assert out.z.shape[0] == 1
     z = out.z[0]
     mult = [(z * c) % 5 for c in range(1, 5)]
@@ -226,17 +227,29 @@ def test_cd_zero_rm_example_two_points_row():
 
 def test_cd_zero_rm_empty_domain():
     f = Field(5)
-    view = CodeView(f, 1, (2,), zero_on=ProductSet(((0, 1),)))
-    assert cd_zero_rm(view, []).is_empty()
+    view = CodeView(f, 1, (2,))
+    assert cd_zero_rm(view, ProductSet(((0, 1),)), []).is_empty()
 
 
 def test_cd_zero_rm_arity_zero():
     # the only arity-0 word vanishing on the one-point cube is 0
-    view = CodeView(Field(5), 0, (), zero_on=ProductSet(()))
-    out = cd_zero_rm(view, [(), ()])
+    view = CodeView(Field(5), 0, ())
+    out = cd_zero_rm(view, ProductSet(()), [(), ()])
     assert out.domain == ((),)
     assert out.z.tolist() == [[1]]
-    assert cd_zero_rm(view, []).z.shape == (0, 0)
+    assert cd_zero_rm(view, ProductSet(()), []).z.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "s", [ProductSet(((0, 1), (0, 1))), ProductSet(((0, 1, 2),))], ids=["arity", "degree"]
+)
+def test_cd_zero_rm_refuses_a_zero_set_it_cannot_serve(s):
+    # m=1, d=1: a zero set of arity 2, or one with |S_1| - 1 = 2 > d_1,
+    # is refused before the empty domain is answered
+    view = CodeView(Field(5), 1, (1,))
+    for pts in ([], [(3,)]):
+        with pytest.raises(ValueError):
+            cd_zero_rm(view, s, pts)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -251,12 +264,12 @@ def test_cd_zero_rm_is_the_reduced_dual_of_the_zero_code(p):
             tuple(tuple(rng.sample(range(p), rng.randrange(1, 3))) for _ in range(m))
         )
         dv = tuple(rng.randrange(len(fac) - 1, 4) for fac in s.factors)
-        view = CodeView(f, m, dv, zero_on=s)
+        view = CodeView(f, m, dv)
         pts = [
             tuple(rng.randrange(p) for _ in range(m)) for _ in range(rng.randrange(1, 8))
         ]
-        out = cd_zero_rm(view, pts)
-        code = code_restriction_basis(view, out.domain)
+        out = cd_zero_rm(view, s, pts)
+        code = code_restriction_basis(view, out.domain, s)
         assert np.array_equal(out.z, kernel_basis(code, p))
 
 
@@ -270,12 +283,12 @@ def test_cd_zero_rm_correctness_sweep(p):
         dv = tuple(rng.randrange(2, 4) for _ in range(m)) if m == 1 else (2, 2)
         if p ** int(np.prod([d + 1 for d in dv])) > 200_000:
             continue
-        view = CodeView(f, m, dv, zero_on=s)
+        view = CodeView(f, m, dv)
         pts = rng.sample(
             [x for x in itertools.product(range(p), repeat=m)], rng.randrange(1, 4)
         )
-        out = cd_zero_rm(view, pts)
-        words = all_codewords(view, out.domain)
+        out = cd_zero_rm(view, s, pts)
+        words = all_codewords(view, out.domain, s)
         if out.z.shape[0] and len(words):
             assert not np.any((words @ out.z.T) % p)
         uniq = np.unique(words, axis=0) if len(words) else np.zeros((0, len(out.domain)), dtype=np.int64)
@@ -294,14 +307,13 @@ def test_zero_code_transfer(p):
         s = ProductSet(tuple(tuple(rng.sample(range(p), 2)) for _ in range(m)))
         dv = tuple(rng.randrange(2, 4) for _ in range(m))
         view = CodeView(f, m, dv)
-        zview = CodeView(f, m, dv, zero_on=s)
         pts = rng.sample(
             list(itertools.product(range(p), repeat=m)), rng.randrange(1, 4)
         )
         union = list(dict.fromkeys(list(pts) + list(s.points())))
         lhs = not cd_rm(view, union).is_empty()
         outside = [x for x in pts if not s.contains(x)]
-        rhs = not cd_zero_rm(zview, outside).is_empty()
+        rhs = not cd_zero_rm(view, s, outside).is_empty()
         assert lhs == rhs
 
 
@@ -384,10 +396,10 @@ def test_a_closure_closed_minimal():
 
 def test_code_restriction_basis_matches_enumeration():
     f = Field(3)
-    view = CodeView(f, 1, (2,), zero_on=ProductSet(((0, 1),)))
+    view, s = CodeView(f, 1, (2,)), ProductSet(((0, 1),))
     pts = [(0,), (2,)]
-    rows = code_restriction_basis(view, pts)
-    words = {tuple(int(v) for v in w) for w in all_codewords(view, pts)}
+    rows = code_restriction_basis(view, pts, s)
+    words = {tuple(int(v) for v in w) for w in all_codewords(view, pts, s)}
     spanned = set()
     for coeffs in itertools.product(range(3), repeat=rows.shape[0]):
         v = np.zeros(len(pts), dtype=np.int64)

@@ -41,6 +41,16 @@ def test_check_constraints_examples():
     assert check_constraints(view, [(2,), (3,), (4,)], s)
 
 
+@pytest.mark.parametrize(
+    "s", [ProductSet(((0, 1), (0, 1))), ProductSet(((0, 1, 2),))], ids=["arity", "degree"]
+)
+def test_check_constraints_refuses_a_grid_it_cannot_test(s):
+    view = CodeView(Field(5), 1, (1,))
+    for pts in ([], [(3,)]):
+        with pytest.raises(ValueError):
+            check_constraints(view, pts, s)
+
+
 def test_check_constraints_empty_query_cube_free():
     f = Field(5)
     for m in (1, 2):

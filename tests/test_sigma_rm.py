@@ -34,8 +34,7 @@ def theorem_span_rows(view, a, s_pts, zero_on_cube):
             continue
         view_i = CodeView(view.field, i, view.dv[:i])
         if zero_on_cube:
-            zview = CodeView(view.field, i, view.dv[:i], zero_on=a.prefix(i))
-            cb = cd_zero_rm(zview, layer)
+            cb = cd_zero_rm(view_i, a.prefix(i), layer)
         else:
             cb = cd_rm(view_i, layer)
         for z in cb.z:
@@ -89,14 +88,21 @@ def test_dual_decomposition_corner_cases():
 
 
 def test_sigma_rm_locate_refuses_views_whatever_the_queries():
-    # layers inside the product set skip the plain locator, so the view is
-    # checked up front, even for a total-sum query alone
+    # layers inside the product set skip the plain locator's search, so the
+    # view is checked up front, even for a total-sum query alone
     f = Field(5)
     a = hypercube((0, 1), 2)
     for view in (CodeView(f, 2, (1, 1)), CodeView(f, 1, (2,))):
         for pts in ([()], [(0, 1)], [(2, 3)]):
             with pytest.raises(ValueError):
                 sigma_rm_locate(view, a, pts)
+
+
+def test_sigma_rm_locate_refuses_a_point_longer_than_the_arity():
+    view, a = CodeView(Field(5), 2, (2, 2)), hypercube((0, 1), 2)
+    for pts in ([(0, 1, 1)], [(), (0, 2), (1, 1, 0)]):
+        with pytest.raises(ValueError, match="longer than arity 2"):
+            sigma_rm_locate(view, a, pts)
 
 
 def sum_word_of(msg_cube, a, p):
