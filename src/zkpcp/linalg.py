@@ -41,18 +41,19 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         pr = r + int(nz[0])
+        row = m[pr] * pow(m.item(pr, c), -1, p)
+        row %= p
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        # clear the pivot column in every other row with one rank-1 update
-        f = m[:, c].copy()
-        f[r] = 0
-        m -= f[:, None] * m[r]
+            m[pr] = m[r]
+        # clear the pivot column with one rank-1 update, then overwrite row
+        # r's update with the scaled pivot row
+        m -= np.multiply.outer(m[:, c], row)
         m %= p
+        m[r] = row
         pivots.append(c)
         r += 1
     return m, pivots

@@ -68,10 +68,15 @@ class CnfInstance:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """One clause per line. A line holding only the terminator 0 is the empty
-    clause, and a % line ends the formula (SATLIB files end with % and 0)."""
-    num_vars = None
+    """DIMACS CNF. After the problem line the clauses are one stream of
+    literals in which each 0 ends a clause, so a clause may span lines and a
+    line may hold several; a lone 0 is the empty clause, and the last clause
+    may omit its 0. A c line is a comment and a % line ends the formula
+    (SATLIB files end with % and 0). The clause count must be the one the
+    problem line declares."""
+    header = None
     clauses: list[tuple[int, ...]] = []
+    lits: list[int] = []
     for line in text.splitlines():
         line = line.strip()
         if line.startswith("%"):
@@ -82,15 +87,23 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
+            header = (int(parts[2]), int(parts[3]))
             continue
-        lits = [int(tok) for tok in line.split()]
-        if lits[-1] == 0:
-            lits = lits[:-1]
+        for lit in map(int, line.split()):
+            if lit:
+                lits.append(lit)
+            else:
+                clauses.append(tuple(lits))
+                lits = []
+    if lits:
         clauses.append(tuple(lits))
-    if num_vars is None:
+    if header is None:
         raise ValueError("missing DIMACS problem line")
-    return CnfInstance(num_vars, tuple(clauses))
+    if len(clauses) != header[1]:
+        raise ValueError(
+            f"the problem line declares {header[1]} clauses, the formula has {len(clauses)}"
+        )
+    return CnfInstance(header[0], tuple(clauses))
 
 
 def arithmetize(cnf: CnfInstance, p: int) -> MultiPoly:

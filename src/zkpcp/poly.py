@@ -41,11 +41,8 @@ class MultiPoly:
             raise ValueError(f"expected {self.m} coordinates, got {len(x)}")
         c = self.coeffs
         for xi in reversed(x):
-            # Horner contraction of the last axis.
-            acc = np.zeros(c.shape[:-1], dtype=np.int64)
-            for k in range(c.shape[-1] - 1, -1, -1):
-                acc = (acc * int(xi) + c[..., k]) % self.p
-            c = acc
+            # contract the last axis with the powers of its coordinate
+            c = c @ power_table(self.p, c.shape[-1] - 1)[int(xi) % self.p] % self.p
         return int(c)
 
     def add(self, other: "MultiPoly") -> "MultiPoly":
@@ -93,9 +90,10 @@ class MultiPoly:
 
 @lru_cache(maxsize=64)
 def power_table(p: int, degree: int) -> np.ndarray:
-    """Read-only p x (degree+1) table: row x holds x^k mod p for k <= degree."""
+    """Read-only p x (degree+1) table: row x holds x^k mod p for k <= degree;
+    degree -1 gives no columns."""
     t = np.empty((p, degree + 1), dtype=np.int64)
-    t[:, 0] = 1
+    t[:, :1] = 1
     x = np.arange(p, dtype=np.int64)
     for k in range(1, degree + 1):
         t[:, k] = (t[:, k - 1] * x) % p

@@ -8,6 +8,8 @@ vectors may carry negative entries, denoting the zero code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,7 +120,7 @@ def cd_zero_rm(view: CodeView, s: ProductSet, pts: Sequence[Point]) -> Constrain
         return ConstraintBasis(dom, np.zeros((0, 0), dtype=np.int64))
     x = _coords(dom, view)
     full = rm_generator(view, dom)
-    exps = np.indices([d + 1 for d in view.dv]).reshape(view.m, full.shape[1])
+    exps = _exponent_table(view.dv)
     blocks = [np.zeros((len(dom), 0), dtype=np.int64)]
     for i, s_i in enumerate(s.factors):
         z = np.ones(len(dom), dtype=np.int64)
@@ -129,6 +131,15 @@ def cd_zero_rm(view: CodeView, s: ProductSet, pts: Sequence[Point]) -> Constrain
     g = np.concatenate(blocks, axis=1)
     h = image_dual_basis(g, p)
     return ConstraintBasis(dom, h)
+
+
+@lru_cache(maxsize=64)
+def _exponent_table(dv: tuple[int, ...]) -> np.ndarray:
+    """Read-only m x prod(d_i + 1) table for dv >= 0: column j holds the
+    exponents of ``rm_generator``'s monomial j."""
+    t = np.indices([d + 1 for d in dv]).reshape(len(dv), prod(d + 1 for d in dv))
+    t.flags.writeable = False
+    return t
 
 
 def code_restriction_basis(

@@ -99,18 +99,21 @@ def require_locator_view(view: CodeView, a: ProductSet):
             raise ValueError("need d_i >= 2(|A_i| - 1)")
 
 
-def systematic_locate(view: CodeView, pts: Sequence[Point]) -> LocatorOutput:
-    """``rm_locate`` on distinct points that all lie in the product set.
+def systematic_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOutput:
+    """``rm_locate`` on distinct points that, with the product set, carry no
+    constraint at the reduced degree d'_i = d_i - (|A_i| - 1).
 
-    Such a set needs no search and no detector: every subset of the product
-    set is unconstrained at each degree vector with d_i >= |A_i| - 1, the
-    reduced one included, so the search flags nothing, the points themselves
-    are R and only their copy rows remain.
+    Such a set needs no search and no full-degree detector: the search's
+    root test asks this same question and flags nothing, and the points are
+    unconstrained at the full degree d >= d' too. So the points are their
+    own interpolating set, R is those in the product set, in query order,
+    and only their copy rows remain. Every set inside the product set is one.
     """
+    r = [pt for pt in pts if a.contains(pt)]
     return LocatorOutput(
-        r=tuple(pts),
+        r=tuple(r),
         queries=tuple(pts),
-        z=copy_rows(pts, pts, view.p),
+        z=copy_rows(r, pts, view.p),
         meta={
             "interpolating_set": list(pts),
             "flagged_per_level": [0] * max(view.m, 1),
@@ -125,8 +128,9 @@ def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOut
     product set in depth-first order (factors in index order, elements in
     field-value order), and only when the whole product set is flagged;
     grid points inside the query set are systematic and included directly.
-    |R| <= |I| always. A nonempty query set inside the product set is
-    answered by ``systematic_locate``.
+    |R| <= |I| always. A nonempty query set inside the product set, and one
+    that is unconstrained with it at the reduced degree, is answered by
+    ``systematic_locate``.
     """
     require_locator_view(view, a)
     pts = [pt for pt in dedup_points(pts)]
@@ -134,7 +138,7 @@ def rm_locate(view: CodeView, a: ProductSet, pts: Sequence[Point]) -> LocatorOut
         if len(pt) != view.m:
             raise ValueError(f"point {pt} is not full arity")
     if pts and all(a.contains(pt) for pt in pts):
-        return systematic_locate(view, pts)
+        return systematic_locate(view, a, pts)
     return _searched_locate(view, a, pts)
 
 
@@ -142,6 +146,10 @@ def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> Locator
     """``rm_locate`` by search, on checked and deduplicated full-arity points."""
     dprime = tuple(d - (len(f) - 1) for d, f in zip(view.dv, a.factors))
     dview = CodeView(view.field, view.m, dprime)
+    # Asked first, since most layers pass it: the zero-code question on the
+    # points outside A is whether pts with A is constrained at d'.
+    if not check_constraints(dview, pts, a):
+        return systematic_locate(view, a, pts)
     # The interpolating set lives at the reduced degree: the search's
     # decision procedure runs there, and the per-level accounting needs the
     # set to be unconstrained at that degree (at the full degree it may
@@ -167,7 +175,9 @@ def _searched_locate(view: CodeView, a: ProductSet, pts: list[Point]) -> Locator
     # Constraints are monotone in the grid: when the whole product set is
     # unconstrained, so is every subgrid, and the search would flag nothing.
     # require_locator_view gives d'_i >= |A_i| - 1, which the test needs.
-    r_list = search((), 0) if check_constraints(dview, iprime, a) else []
+    # An interpolating set that is all of pts was tested above, and flagged.
+    root = len(iprime) == len(pts) or check_constraints(dview, iprime, a)
+    r_list = search((), 0) if root else []
     for pt in pts:
         if a.contains(pt) and pt not in r_list:
             r_list.append(pt)

@@ -495,6 +495,18 @@ def test_a_formula_with_an_empty_clause_proves_count_0(tmp_path):
     assert not out.exists()
 
 
+def test_a_formula_with_the_wrong_clause_count_is_refused(tmp_path):
+    """Two clauses under a problem line that declares one: an error record,
+    exit 2 and no proof file."""
+    cnf = tmp_path / "c.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 0 3 0\n")
+    out = tmp_path / "c.proof"
+    code, recs = run_cli("prove", "--cnf", str(cnf), "--count", "3", "--out", str(out))
+    assert code == 2 and [r["record"] for r in recs] == ["error"]
+    assert "declares 1 clauses" in recs[0]["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit-zk"])
 @pytest.mark.parametrize(
     "given", [("--m", "5"), ("--degree", "3,9"), ("--h-set", "0,1,2"),

@@ -49,7 +49,7 @@ def gauss_jordan(a, p):
     return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 131071])  # 131071: the largest prime <= MAX_MODULUS
 def test_rref_matches_plain_gauss_jordan(p):
     rng = np.random.default_rng(p)
     shapes = [(64, k) for k in (1, 5, 13)] + [(k, 64) for k in (1, 5, 13)]

@@ -106,6 +106,17 @@ p cnf 3 2
     assert parse_dimacs("p cnf 2 2\n1 2 0\n0\n").clauses == ((1, 2), ())
     # SATLIB's trailer: a % line ends the formula, so its 0 is no clause
     assert parse_dimacs("p cnf 2 1\n1 2 0\n%\n0\n").clauses == ((1, 2),)
+    # the clauses are one 0-terminated literal stream, whatever the lines
+    assert parse_dimacs("p cnf 3 1\n1 2\n3 0\n").clauses == ((1, 2, 3),)
+    assert parse_dimacs("p cnf 3 2\n1 2 0 3 0\n").clauses == ((1, 2), (3,))
+    assert parse_dimacs("p cnf 3 1\n1\nc between\n2 3 0\n").clauses == ((1, 2, 3),)
+    assert parse_dimacs("p cnf 3 3\n1 0 0 -2 3\n").clauses == ((1,), (), (-2, 3))
+    # a last clause without its 0 still counts
+    assert parse_dimacs("p cnf 2 1\n1 2\n").clauses == ((1, 2),)
+    # a clause count other than the problem line's is refused
+    for text in ("p cnf 3 2\n1 2 0\n", "p cnf 3 1\n1 2 0 3 0\n", "p cnf 3 0\n1 0\n"):
+        with pytest.raises(ValueError, match="declares"):
+            parse_dimacs(text)
 
 
 def test_modulus_bound_checked_before_primality():

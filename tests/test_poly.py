@@ -9,6 +9,7 @@ from zkpcp.pcp import _grid_eval
 from zkpcp.poly import (
     MultiPoly,
     embed,
+    eval_monomial,
     interpolate,
     lagrange,
     monomial_exponents,
@@ -38,6 +39,23 @@ def test_eval_univariate():
     # X^2 - X at 2 over F5 -> 2
     poly = poly_from_coeffs(5, [0, 4, 1])
     assert poly.eval((2,)) == 2
+
+
+@pytest.mark.parametrize("p", [5, 131071])
+def test_eval_matches_the_monomial_sum(p):
+    """Arity 0-3, random degree vectors, coordinates negative or >= p: eval
+    is the sum of c_e * x^e, at the largest modulus too."""
+    rng = random.Random(p)
+    for _ in range(60):
+        dv = tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
+        coeffs = np.array(
+            [rng.randrange(p) for _ in monomial_exponents(dv)], dtype=np.int64
+        ).reshape(tuple(d + 1 for d in dv))
+        poly = MultiPoly(p, coeffs)
+        for _ in range(4):
+            x = tuple(rng.randrange(-3 * p, 3 * p) for _ in dv)
+            want = sum(int(coeffs[e]) * eval_monomial(e, x, p) for e in monomial_exponents(dv)) % p
+            assert poly.eval(x) == want
 
 
 def test_eval_arity_mismatch():

@@ -4,13 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from zkpcp.domains import ProductSet, hypercube
+from zkpcp import rm_locator
+from zkpcp.domains import ProductSet, dedup_points, hypercube, sort_points
 from zkpcp.field import Field
 from zkpcp.oracles import pack_assignment, packed_attainable_set
 from zkpcp.rm import CodeView, cd_rm
 from zkpcp.rm_locator import (
-    _searched_locate,
     check_constraints,
+    copy_rows,
     interpolating_set,
     rm_locate,
 )
@@ -31,6 +32,52 @@ def locator_matches_bruteforce(view, a, pts):
         if got != want:
             return out, msg, beta, want
     return None
+
+
+def searched_reference(view, a, pts):
+    """The searched locator without the layer shortcut: interpolating set at
+    the reduced degree, root test, search, then the full-degree detector."""
+    pts = dedup_points(pts)
+    dprime = tuple(d - (len(f) - 1) for d, f in zip(view.dv, a.factors))
+    dview = CodeView(view.field, view.m, dprime)
+    iprime = interpolating_set(dview, pts)
+    flagged = [0] * max(view.m, 1)
+
+    def search(prefix, level):
+        if level == view.m:
+            return [prefix]
+        found = []
+        for s_val in a.factors[level]:
+            grid = ProductSet(tuple((c,) for c in prefix) + ((s_val,),) + a.factors[level + 1 :])
+            if check_constraints(dview, iprime, grid):
+                flagged[level] += 1
+                found += search(prefix + (s_val,), level + 1)
+        return found
+
+    r = search((), 0) if check_constraints(dview, iprime, a) else []
+    r += [pt for pt in pts if a.contains(pt) and pt not in r]
+    basis = cd_rm(view, sort_points(set(pts) | set(r)))
+    z = copy_rows(r, pts, view.p)
+    if len(basis.z):
+        col = {q: j for j, q in enumerate(r)}
+        col.update((q, len(r) + j) for j, q in enumerate(pts))
+        lifted = np.zeros((len(basis.z), z.shape[1]), dtype=np.int64)
+        lifted[:, [col[q] for q in basis.domain]] = basis.z
+        z = np.vstack([lifted, z])
+    return tuple(r), tuple(pts), z, {"interpolating_set": iprime, "flagged_per_level": flagged}
+
+
+def count_detector_calls(monkeypatch):
+    calls = {"cd_rm": 0, "cd_zero_rm": 0}
+    for name in calls:
+        real = getattr(rm_locator, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rm_locator, name, counted)
+    return calls
 
 
 def test_check_constraints_examples():
@@ -233,9 +280,52 @@ def test_rm_locate_inside_the_product_set_is_systematic(m, d):
         for subset in itertools.combinations(cube, k):
             for pts in (list(subset), list(reversed(subset))):
                 got = rm_locate(view, a, pts)
-                want = _searched_locate(view, a, pts)
-                assert got.r == want.r == tuple(pts)
-                assert got.cols == want.cols
-                assert np.array_equal(got.z, want.z)
-                assert got.meta == want.meta
+                r, queries, z, meta = searched_reference(view, a, pts)
+                assert got.r == r == tuple(pts) and got.queries == queries
+                assert np.array_equal(got.z, z)
+                assert got.meta == meta
                 assert cd_rm(view, pts).is_empty()
+
+
+def test_layer_shortcut_matches_the_searched_reference(monkeypatch):
+    """Seeded random layers, on-cube, off-cube and repeated points: rm_locate
+    equals the path without the shortcut, and both branches occur."""
+    calls = count_detector_calls(monkeypatch)
+    rng = random.Random(20)
+    shortcut = fallback = 0
+    for _ in range(400):
+        p, m, d = rng.choice([5, 7]), rng.randrange(1, 4), rng.choice([3, 4])
+        a = hypercube((0, 1, 2) if d == 4 and rng.random() < 0.5 else (0, 1), m)
+        view = CodeView(Field(p), m, (d,) * m)
+        cube = list(a.points())
+        pts = []
+        for _ in range(rng.randrange(9)):
+            pool = rng.choice(["cube", "field", "again"])
+            if pool == "cube" or (pool == "again" and not pts):
+                pts.append(rng.choice(cube))
+            elif pool == "field":
+                pts.append(tuple(rng.randrange(p) for _ in range(m)))
+            else:
+                pts.append(rng.choice(pts))
+        before = calls["cd_rm"]
+        out = rm_locate(view, a, pts)
+        searched = calls["cd_rm"] > before
+        r, queries, z, meta = searched_reference(view, a, pts)
+        assert (out.r, out.queries, out.meta) == (r, queries, meta)
+        assert out.z.shape == z.shape and np.array_equal(out.z, z)
+        if not pts or not all(a.contains(pt) for pt in pts):
+            fallback += searched
+            shortcut += not searched
+    assert shortcut >= 40 and fallback >= 40, (shortcut, fallback)
+
+
+def test_an_unconstrained_off_cube_layer_asks_one_detector_question(monkeypatch):
+    view = CodeView(Field(5), 2, (3, 3))
+    a = hypercube((0, 1), 2)
+    for pts in ([(2, 3), (4, 2)], [(2, 3), (4, 2), (0, 1)], [(3, 3), (3, 3)]):
+        calls = count_detector_calls(monkeypatch)
+        out = rm_locate(view, a, pts)
+        assert calls == {"cd_rm": 0, "cd_zero_rm": 1}
+        assert out.r == tuple(pt for pt in dedup_points(pts) if a.contains(pt))
+        assert out.meta["interpolating_set"] == dedup_points(pts)
+        monkeypatch.undo()
