@@ -11,6 +11,7 @@ distribution equality for that script, not a statistical estimate.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domains import Point
-from .linalg import AffineSystem, kernel_basis, rank, rref
+from .linalg import AffineSystem, coset_system, rank, rref
 from .pcp import SumcheckParams, ViewState, gather_state_rows
 from .poly import MultiPoly
 from .rm import CodeView, rm_generator
@@ -32,19 +33,18 @@ class AuditError(Exception):
 class LinearLaw:
     """Uniform law on the solution set of an accumulated system A x = b.
 
-    Columns are added in step batches, and the system is kept as the nonzero
-    rows of the reduced row echelon form of [A | b]. A step's rows may force
+    Columns are added in step batches, and ``system`` holds the reduced
+    system (an immutable ``linalg.AffineSystem``). A step's rows may force
     new columns but must never further constrain old ones (that would break
     the chained-uniformity invariant), which is checked exactly.
     """
 
     def __init__(self, p: int):
-        self.p = p
-        self.ab = np.zeros((0, 1), dtype=np.int64)
+        self.system = AffineSystem(np.zeros((0, 0), dtype=np.int64), [], p)
 
     @property
     def n(self) -> int:
-        return self.ab.shape[1] - 1
+        return self.system.n
 
     def add_step(self, n_new: int, a, b):
         """Append ``n_new`` columns and the step's rows A x = b over all the
@@ -54,29 +54,28 @@ class LinearLaw:
         keeps its dimension: rank(A') - rank(A' on the new columns) equals
         the old rank, A' being the old rows stacked on the step's.
         """
-        p, n_old = self.p, self.n
+        old, n_old = self.system, self.n
         n = n_old + n_new
-        old = np.zeros((len(self.ab), n + 1), dtype=np.int64)
-        old[:, :n_old] = self.ab[:, :n_old]
-        old[:, n] = self.ab[:, n_old]
-        red, piv = rref(np.vstack([old, np.column_stack([a, b])]), p)
-        if n in piv:
+        pad = np.zeros((len(old.rows), n_new), dtype=np.int64)
+        new = AffineSystem(
+            np.vstack([np.hstack([old.rows[:, :n_old], pad]), a]),
+            np.concatenate([old.rows[:, n_old], b]),
+            old.p,
+        )
+        if not new.consistent:
             raise AuditError("step rows are inconsistent with the prefix law")
-        red = red[: len(piv)]
-        if len(piv) - rank(red[:, n_old:n], p) != len(self.ab):
+        if len(new.pivots) - rank(new.rows[:, n_old:n], old.p) != len(old.pivots):
             raise AuditError("step rows constrain already-sampled coordinates")
-        self.ab = red
+        self.system = new
 
     def fork(self) -> "LinearLaw":
-        """An independent copy, for continuing the law along another branch."""
-        other = LinearLaw(self.p)
-        other.ab = self.ab.copy()
-        return other
+        """A copy for continuing the law along another branch; it shares the
+        immutable system until its own next step."""
+        return copy.copy(self)
 
     def marginal(self, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """(offset, direction rows) of the law's projection onto columns."""
-        sys = AffineSystem(self.ab[:, :-1], self.ab[:, -1], self.p)
-        return sys.solve()[cols], sys.kernel()[:, cols]
+        return self.system.solve()[cols], self.system.kernel()[:, cols]
 
 
 def symbolic_simulator_law(
@@ -112,7 +111,7 @@ def symbolic_simulator_law(
                 results[j] = state
                 ended = True
             else:
-                parts.setdefault(view.coord(*branches[j][depth]), []).append(j)
+                parts.setdefault(params.coord(*branches[j][depth]), []).append(j)
         nxt = []
         for k, (c, js) in enumerate(parts.items()):
             # the last part carries this state on unless a branch ended here
@@ -151,10 +150,8 @@ def real_law(
     # per table: (step, point, weight) of each generator row in the map
     terms: dict = {name: [] for name, _ in params.tables}
     f_terms = []
-    for si, (oracle, pt) in enumerate(steps):
-        if oracle not in params.oracles:
-            raise ValueError(f"unknown oracle {oracle!r} at m={m}")
-        pt = tuple(int(c) for c in pt)
+    for si, step in enumerate(steps):
+        oracle, pt = params.coord(*step)
         if oracle != "sigma":
             terms[oracle].append((si, pt, 1))
             continue
@@ -290,20 +287,6 @@ class AuditReport:
         return self.tv == 0
 
 
-def _membership_checker(off: np.ndarray, dirs: np.ndarray, p: int):
-    n = len(off)
-    dual = kernel_basis(dirs, p) if dirs.size else np.eye(n, dtype=np.int64)
-    target = (dual @ off) % p if dual.size else np.zeros(0, dtype=np.int64)
-    dim = n - (rank(dual, p) if dual.size else 0)
-
-    def member(ans: np.ndarray) -> bool:
-        if dual.size == 0:
-            return True
-        return not np.any((dual @ ans - target) % p)
-
-    return member, dim
-
-
 def script_battery(params: SumcheckParams, count: int, seed: int) -> list[Script]:
     """Exactly ``count`` deterministic adaptive scripts (length <= 4) mixing
     all oracle families.
@@ -396,18 +379,17 @@ def audit_script(
     if all_equal:
         return AuditReport(Fraction(0), True, len(branches), per_branch)
 
-    checkers = []
-    for conds, sim_off, sim_dirs, re_off, re_dirs, _ in per_branch:
-        sim_m, sim_dim = _membership_checker(sim_off, sim_dirs, p)
-        re_m, re_dim = _membership_checker(re_off, re_dirs, p)
-        checkers.append((conds, sim_m, sim_dim, re_m, re_dim))
+    cosets = [
+        (conds, coset_system(sim_off, sim_dirs, p), coset_system(re_off, re_dirs, p))
+        for conds, sim_off, sim_dirs, re_off, re_dirs, _ in per_branch
+    ]
     tv = Fraction(0)
     for combo in product(range(p), repeat=k):
         ans = np.array(combo, dtype=np.int64)
-        for conds, sim_m, sim_dim, re_m, re_dim in checkers:
+        for conds, sim, re in cosets:
             if all((ans[j] == v) == truth for j, v, truth in conds):
-                p_sim = Fraction(1, p**sim_dim) if sim_m(ans) else Fraction(0)
-                p_re = Fraction(1, p**re_dim) if re_m(ans) else Fraction(0)
+                p_sim = Fraction(1, p ** sim.dim()) if sim.contains(ans) else Fraction(0)
+                p_re = Fraction(1, p ** re.dim()) if re.contains(ans) else Fraction(0)
                 tv += abs(p_sim - p_re)
                 break
     return AuditReport(tv / 2, False, len(branches), per_branch)

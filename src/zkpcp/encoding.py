@@ -4,8 +4,8 @@ An encoding spec bundles a constraint locator with a message oracle. A
 session answers queries one at a time, each answer drawn from the exact
 conditional distribution of the encoding given everything answered so far:
 forced when some located constraint pins it, uniform otherwise. The proof
-simulator draws through the same sampler, ``sample_new``, and the symbolic
-audit accumulates the same rows instead of sampling.
+simulator draws through the same sampler, ``linalg.sample_affine``, and the
+symbolic audit accumulates the same rows instead of sampling.
 """
 from __future__ import annotations
 
@@ -62,20 +62,6 @@ def constraint_rows_for(
     return a[keep], b[keep], loc.r
 
 
-def sample_new(a, b, known: Sequence[int], p: int, rng) -> Optional[np.ndarray]:
-    """Uniform draw of the trailing columns of A x = b, the leading ones known.
-
-    The first ``len(known)`` columns hold answered values; they are
-    substituted and the rest are drawn by ``sample_affine``. Returns the
-    drawn values in column order, or None if the rows admit none. Forced
-    columns consume no randomness; each free one is drawn like
-    ``Field.sample``.
-    """
-    k = len(known)
-    rhs = (b - a[:, :k] @ np.asarray(known, dtype=np.int64)) % p
-    return sample_affine(a[:, k:], rhs, p, rng)
-
-
 class SimSession:
     """Stateful per-verifier simulator session for one encoding.
 
@@ -96,7 +82,7 @@ class SimSession:
             return self.answers[alpha]
         a, b, reads = constraint_rows_for(self.spec, list(self.answers) + [alpha])
         self.messages_read.update(reads)
-        sol = sample_new(a, b, list(self.answers.values()), self.spec.p, self.rng)
+        sol = sample_affine(a, b, list(self.answers.values()), self.spec.p, self.rng)
         if sol is None:
             raise InconsistentQueryAnswers(
                 f"recorded answers admit no value at {alpha}"

@@ -13,8 +13,7 @@ silently and are refused there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,58 +124,65 @@ def image_dual_basis(m, p: int) -> np.ndarray:
     return kernel_basis(m.T, p)
 
 
-@dataclass(frozen=True)
 class AffineSystem:
-    """The solution set {x : A x = b} over GF(p); empty or a coset of ker(A)."""
+    """The solution set {x : A x = b} over GF(p); empty or a coset of ker(A).
 
-    a: np.ndarray
-    b: np.ndarray
-    p: int
+    The system is reduced once, at construction: ``rows`` holds the nonzero
+    rows of the reduced row echelon form of [A | b], read-only, and
+    ``pivots`` their leading columns. Every query reads that stored form, so
+    no method eliminates again except ``kernel``, whose reduced basis uses
+    another column order. The RREF is unique, so two consistent systems over
+    the same columns with the same solution set have equal ``rows``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a, self.p))
-        object.__setattr__(
-            self, "b", np.asarray(self.b, dtype=np.int64).reshape(-1) % self.p
-        )
-        if self.a.shape[0] != self.b.shape[0]:
+    def __init__(self, a, b, p: int):
+        a = as_matrix(a, p)
+        b = np.asarray(b, dtype=np.int64).reshape(-1) % p
+        if a.shape[0] != b.shape[0]:
             raise ValueError("row count of A must match length of b")
+        m, pivots = rref(np.column_stack([a, b]), p)
+        self.p, self.n = p, a.shape[1]
+        self.pivots = tuple(pivots)
+        self.rows = m[: len(pivots)]
+        self.rows.flags.writeable = False
 
-    def _reduced(self) -> tuple[np.ndarray, list[int], np.ndarray, bool]:
-        aug = np.concatenate([self.a, self.b[:, None]], axis=1)
-        m, pivots = rref(aug, self.p)
-        n = self.a.shape[1]
-        if n in pivots:
-            return m, pivots, np.zeros(0, dtype=np.int64), False
-        x0 = np.zeros(n, dtype=np.int64)
-        for r, c in enumerate(pivots):
-            x0[c] = m[r, n]
-        return m, pivots, x0, True
+    @property
+    def consistent(self) -> bool:
+        """Whether some x solves A x = b: no pivot lies in the b column."""
+        return self.n not in self.pivots
 
     def solve(self) -> Optional[np.ndarray]:
-        """A particular solution, or None if the system is inconsistent."""
-        _, _, x0, ok = self._reduced()
-        return x0 if ok else None
+        """A particular solution (free columns 0), or None if inconsistent."""
+        if not self.consistent:
+            return None
+        x0 = np.zeros(self.n, dtype=np.int64)
+        x0[list(self.pivots)] = self.rows[:, self.n]
+        return x0
+
+    def contains(self, x) -> bool:
+        """Whether A x = b."""
+        x = np.asarray(x, dtype=np.int64) % self.p
+        return not np.any((self.rows[:, : self.n] @ x - self.rows[:, self.n]) % self.p)
 
     def kernel(self) -> np.ndarray:
-        return kernel_basis(self.a, self.p)
+        return kernel_basis(self.rows[:, : self.n], self.p)
 
     def dim(self) -> Optional[int]:
-        if self.solve() is None:
-            return None
-        return self.a.shape[1] - rank(self.a, self.p)
+        return self.n - len(self.pivots) if self.consistent else None
 
     def sample(self, rng) -> Optional[np.ndarray]:
-        """Uniform solution: free variables drawn i.i.d., then back-substituted."""
-        m, pivots, x0, ok = self._reduced()
-        if not ok:
+        """Uniform solution: free variables drawn i.i.d. in ascending column
+        order, one ``Field.sample`` each, then back-substituted."""
+        if not self.consistent:
             return None
-        n = self.a.shape[1]
-        free = [c for c in range(n) if c not in pivots]
+        n, m = self.n, self.rows
+        pivot_set = set(self.pivots)
         x = np.zeros(n, dtype=np.int64)
         fld = Field(self.p)
-        for f in free:
-            x[f] = fld.sample(rng)
-        for r, c in enumerate(pivots):
+        for f in range(n):
+            if f not in pivot_set:
+                x[f] = fld.sample(rng)
+        for r, c in enumerate(self.pivots):
             x[c] = (m[r, n] - int(m[r, :n] @ x) + m[r, c] * x[c]) % self.p
         return x
 
@@ -204,21 +210,37 @@ class AffineSystem:
                 return
 
 
-def sample_affine(a, b, p: int, rng) -> Optional[np.ndarray]:
-    """Uniformly random solution of A x = b, or None if inconsistent."""
-    return AffineSystem(a, b, p).sample(rng)
+def sample_affine(a, b, known: Sequence[int], p: int, rng) -> Optional[np.ndarray]:
+    """Uniform draw of the trailing columns of A x = b, the leading ones known.
+
+    The first ``len(known)`` columns hold answered values; they are
+    substituted and the rest are drawn uniformly from the remaining
+    solutions. Returns the drawn values in column order, or None if the rows
+    admit none. Forced columns consume no randomness; each free one is drawn
+    like ``Field.sample``, in ascending column order.
+    """
+    a = as_matrix(a, p)
+    k = len(known)
+    rhs = np.asarray(b, dtype=np.int64) - a[:, :k] @ np.asarray(known, dtype=np.int64)
+    return AffineSystem(a[:, k:], rhs, p).sample(rng)
+
+
+def coset_system(off, rows, p: int) -> AffineSystem:
+    """off + rowspan(rows) as the solution set of H x = H off, with H a
+    basis of the dual of the row span; ``rows`` is 2-D, one column per
+    entry of ``off``."""
+    h = kernel_basis(rows, p)
+    return AffineSystem(h, h @ (np.asarray(off, dtype=np.int64) % p), p)
 
 
 def spans_equal(a_rows, b_rows, p: int) -> bool:
-    a_rows = np.asarray(a_rows, dtype=np.int64) % p
-    b_rows = np.asarray(b_rows, dtype=np.int64) % p
+    """Whether two row sets span the same space. Equal spans have the same
+    reduced echelon basis, so the two RREFs are compared directly."""
+    a_rows = np.asarray(a_rows, dtype=np.int64)
+    b_rows = np.asarray(b_rows, dtype=np.int64)
     if a_rows.size == 0 and b_rows.size == 0:
         return True
     n = a_rows.shape[1] if a_rows.size else b_rows.shape[1]
-    a_rows = a_rows.reshape(-1, n)
-    b_rows = b_rows.reshape(-1, n)
-    ra = rank(a_rows, p)
-    rb = rank(b_rows, p)
-    if ra != rb:
-        return False
-    return rank(np.vstack([a_rows, b_rows]), p) == ra
+    ra, pa = rref(a_rows.reshape(-1, n), p)
+    rb, pb = rref(b_rows.reshape(-1, n), p)
+    return pa == pb and np.array_equal(ra[: len(pa)], rb[: len(pb)])

@@ -14,7 +14,7 @@ import numpy as np
 from functools import lru_cache
 
 from .domains import Point, ProductSet, rev_point
-from .linalg import rank, spans_equal
+from .linalg import AffineSystem, coset_system, spans_equal
 from .poly import monomial_exponents
 from .rm import CodeView, rm_generator
 
@@ -78,18 +78,12 @@ def pack_assignment(values: list[int], p: int) -> int:
 
 
 def affine_sets_equal(off_a, rows_a, off_b, rows_b, p: int) -> bool:
-    """Whether off_a + rowspan(rows_a) equals off_b + rowspan(rows_b)."""
-    rows_a = np.asarray(rows_a, dtype=np.int64) % p
-    rows_b = np.asarray(rows_b, dtype=np.int64) % p
-    off_a = np.asarray(off_a, dtype=np.int64) % p
-    off_b = np.asarray(off_b, dtype=np.int64) % p
-    if not spans_equal(rows_a, rows_b, p):
-        return False
-    diff = (off_a - off_b) % p
-    if rows_a.size == 0:
-        return not np.any(diff)
-    stacked = np.vstack([rows_a, diff])
-    return rank(stacked, p) == rank(rows_a, p)
+    """Whether off_a + rowspan(rows_a) equals off_b + rowspan(rows_b): the
+    spans are equal and off_a - off_b lies in them (rows_a^T y = off_a - off_b
+    is consistent)."""
+    rows_a = np.asarray(rows_a, dtype=np.int64)
+    diff = np.asarray(off_a, dtype=np.int64) - np.asarray(off_b, dtype=np.int64)
+    return spans_equal(rows_a, rows_b, p) and AffineSystem(rows_a.T, diff, p).consistent
 
 
 def antisym_basis(a: ProductSet, p: int) -> list[dict[Point, int]]:
@@ -206,36 +200,15 @@ def attainable_answers_sigma(
 def uniform_law_tv(
     off_a, rows_a, off_b, rows_b, p: int
 ) -> Fraction:
-    """Exact total-variation distance between uniform laws on two affine sets."""
-    rows_a = np.asarray(rows_a, dtype=np.int64).reshape(-1, len(off_a)) % p
-    rows_b = np.asarray(rows_b, dtype=np.int64).reshape(-1, len(off_b)) % p
-    if affine_sets_equal(off_a, rows_a, off_b, rows_b, p):
-        return Fraction(0)
-    da = rank(rows_a, p) if rows_a.size else 0
-    db = rank(rows_b, p) if rows_b.size else 0
-    pa = Fraction(1, p**da)
-    pb = Fraction(1, p**db)
-    inter = _affine_intersection_size(off_a, rows_a, off_b, rows_b, p)
-    tv = Fraction(p**da - inter, 1) * pa + Fraction(p**db - inter, 1) * pb
-    tv += inter * abs(pa - pb)
-    return tv / 2
+    """Exact total-variation distance between uniform laws on two affine sets.
 
-
-def _affine_intersection_size(off_a, rows_a, off_b, rows_b, p: int) -> int:
-    """|(off_a + span_a) intersect (off_b + span_b)|, exactly.
-
-    Each coset is rewritten as the solution set of H x = H off with H the
-    dual of its direction space; the stacked system is then counted.
-    """
-    from .linalg import AffineSystem, kernel_basis
-
-    n = len(off_a)
-    ha = kernel_basis(rows_a, p) if rows_a.size else np.eye(n, dtype=np.int64)
-    hb = kernel_basis(rows_b, p) if rows_b.size else np.eye(n, dtype=np.int64)
-    a_mat = np.vstack([ha, hb])
-    b_vec = np.concatenate(
-        [(ha @ (np.asarray(off_a) % p)) % p, (hb @ (np.asarray(off_b) % p)) % p]
-    )
-    sys = AffineSystem(a_mat, b_vec, p)
-    d = sys.dim()
-    return 0 if d is None else p**d
+    Each set is a coset system (``linalg.coset_system``); stacking the two
+    counts their intersection."""
+    ca = coset_system(off_a, np.reshape(rows_a, (-1, len(off_a))), p)
+    cb = coset_system(off_b, np.reshape(rows_b, (-1, len(off_b))), p)
+    both = np.vstack([ca.rows, cb.rows])
+    common = AffineSystem(both[:, :-1], both[:, -1], p).dim()
+    inter = 0 if common is None else p**common
+    size_a, size_b = p ** ca.dim(), p ** cb.dim()
+    tv = Fraction(size_a - inter, size_a) + Fraction(size_b - inter, size_b)
+    return (tv + inter * abs(Fraction(1, size_a) - Fraction(1, size_b))) / 2

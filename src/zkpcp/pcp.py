@@ -23,8 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import Point, hypercube, require_in_field, rev_point
-from .encoding import EncodingSpec, constraint_rows_for, enc_pcp_spec, sample_new
+from .encoding import EncodingSpec, constraint_rows_for, enc_pcp_spec
 from .field import MAX_MODULUS, Field, is_prime, next_prime
+from .linalg import sample_affine
 from .poly import (
     MultiPoly,
     _inverse_vandermonde,
@@ -131,6 +132,10 @@ def arithmetize(cnf: CnfInstance, p: int) -> MultiPoly:
     return acc
 
 
+# a view coordinate: (oracle, point), named as the verifier names its queries
+Coord = tuple[str, Point]
+
+
 @dataclass(frozen=True)
 class SumcheckParams:
     """Common input to the simulator and the audit: (p, m, d, H).
@@ -199,6 +204,20 @@ class SumcheckParams:
         """m*d < p/10, the floor soundness needs; checked where soundness is
         claimed (``pcp_for_sharp_sat``), so tiny fields stay usable."""
         return self.m * self.d * 10 < self.p
+
+    def coord(self, oracle: str, pt) -> Coord:
+        """The coordinate (oracle, point) a query names; ValueError if no
+        proof could answer it: an unknown oracle, a point of the wrong arity
+        or a coordinate outside [0, p)."""
+        m = self.m
+        pt = tuple(int(c) for c in pt)
+        if oracle not in self.oracles:
+            raise ValueError(f"unknown oracle {oracle!r} at m={m}")
+        if oracle == "sigma" and len(pt) > m:
+            raise ValueError(f"sigma is indexed by points of arity at most {m}")
+        if oracle != "sigma" and len(pt) != m:
+            raise ValueError("mask tables are indexed by full-arity points")
+        return oracle, require_in_field(pt, self.p)
 
     def mask_terms(self, pt: Point) -> list[tuple[tuple[str, Point], int]]:
         """(coordinate, weight) pairs whose weighted sum is the mask at a
@@ -608,9 +627,6 @@ def verify(
     return VerifyResult(True, "accept", log, path)
 
 
-Coord = tuple[str, Point]
-
-
 class ViewState:
     """The coordinates of a simulated view and the rows that tie them.
 
@@ -663,18 +679,6 @@ class ViewState:
         other.coords = list(self.coords)
         other.index = dict(self.index)
         return other
-
-    def coord(self, oracle: str, pt) -> Coord:
-        """The coordinate a query names; ValueError if no proof could answer it."""
-        m, p = self.params.m, self.params.p
-        pt = tuple(int(c) for c in pt)
-        if oracle not in self.params.oracles:
-            raise ValueError(f"unknown oracle {oracle!r} at m={m}")
-        if oracle == "sigma" and len(pt) > m:
-            raise ValueError(f"sigma is indexed by points of arity at most {m}")
-        if oracle != "sigma" and len(pt) != m:
-            raise ValueError("mask tables are indexed by full-arity points")
-        return oracle, require_in_field(pt, p)
 
     def points(self, oracle: str) -> list[Point]:
         return [pt for o, pt in self.coords if o == oracle]
@@ -744,7 +748,7 @@ class SimulatorSession:
         self.transcript: list[tuple[str, Point, int]] = []
 
     def query(self, oracle: str, pt: Point) -> int:
-        c = self.view.coord(oracle, pt)
+        c = self.params.coord(oracle, pt)
         if len(self.values) < len(self.view.coords):
             # a failed _extend admitted coordinates it could not answer
             raise RuntimeError(INCONSISTENT)
@@ -764,7 +768,7 @@ class SimulatorSession:
         self.view.admit(c)
         a, b, reads = gather_state_rows(self.view)
         self.messages_read.update(reads)
-        sol = sample_new(a, b, self.values, self.params.p, self.rng)
+        sol = sample_affine(a, b, self.values, self.params.p, self.rng)
         if sol is None:
             raise RuntimeError(INCONSISTENT)
         self.values.extend(int(v) for v in sol)

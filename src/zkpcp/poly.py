@@ -39,10 +39,14 @@ class MultiPoly:
     def eval(self, x: Point) -> int:
         if len(x) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(x)}")
-        c = self.coeffs
+        p, c = self.p, self.coeffs
         for xi in reversed(x):
-            # contract the last axis with the powers of its coordinate
-            c = c @ power_table(self.p, c.shape[-1] - 1)[int(xi) % self.p] % self.p
+            # contract the last axis with the powers 1, xi, ..., xi^deg of its
+            # coordinate: only deg + 1 of them, so nothing of size p is built
+            xi, powers = int(xi) % p, [1]
+            while len(powers) < c.shape[-1]:
+                powers.append(powers[-1] * xi % p)
+            c = c @ powers % p
         return int(c)
 
     def add(self, other: "MultiPoly") -> "MultiPoly":

@@ -15,7 +15,6 @@ from zkpcp.encoding import (
     constraint_rows_for,
     enc_pcp_spec,
     identity_spec,
-    sample_new,
 )
 from zkpcp.field import Field
 from zkpcp.oracles import affine_sets_equal, antisym_basis
@@ -87,24 +86,6 @@ def test_antisym_spec_locates_each_query_tuple_once():
     # another order is another query tuple; another spec starts empty
     assert spec.locator(pts[::-1]).queries == tuple(pts[::-1])
     assert antisym_spec(fld, a, lambda q: 0).locator(pts) is not first
-
-
-def test_sample_new_draws_like_field_sample():
-    # one free coordinate takes the stream's next field sample; a forced one
-    # takes its value without touching the stream
-    fld = Field(7)
-    for seed in range(5):
-        rng = random.Random(seed)
-        # columns (y, x) with y = 0 answered: y = 0 leaves x free
-        sol = sample_new(np.array([[1, 0]]), np.array([0]), [0], 7, rng)
-        assert int(sol[0]) == fld.sample(random.Random(seed))
-        rng = random.Random(seed)
-        state = rng.getstate()
-        # y = 5 answered: y + 2x = 3 forces x
-        sol = sample_new(np.array([[1, 2]]), np.array([3]), [5], 7, rng)
-        assert int(sol[0]) == (3 - 5) * pow(2, -1, 7) % 7
-        assert rng.getstate() == state
-    assert sample_new(np.array([[1, 0]]), np.array([1]), [0], 7, rng) is None
 
 
 def test_inconsistent_state_raises():

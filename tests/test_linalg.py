@@ -1,10 +1,15 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zkpcp.field import Field
 from zkpcp.linalg import (
     AffineSystem,
+    coset_system,
     image_dual_basis,
     kernel_basis,
     project_constraints,
@@ -13,6 +18,7 @@ from zkpcp.linalg import (
     sample_affine,
     spans_equal,
 )
+from zkpcp.oracles import affine_sets_equal, uniform_law_tv
 
 import random
 
@@ -256,7 +262,7 @@ def test_sample_affine_unique_solution():
     a = np.eye(2, dtype=np.int64)
     b = np.array([2, 4])
     for _ in range(10):
-        assert np.array_equal(sample_affine(a, b, 5, rng), b)
+        assert np.array_equal(sample_affine(a, b, [], 5, rng), b)
 
 
 def test_sample_affine_empty_system_uniform():
@@ -265,7 +271,7 @@ def test_sample_affine_empty_system_uniform():
     b = np.zeros(0, dtype=np.int64)
     counts = {}
     for _ in range(1800):
-        x = tuple(sample_affine(a, b, 3, rng))
+        x = tuple(sample_affine(a, b, [], 3, rng))
         counts[x] = counts.get(x, 0) + 1
     assert set(counts) == set(itertools.product(range(3), repeat=2))
 
@@ -273,7 +279,25 @@ def test_sample_affine_empty_system_uniform():
 def test_sample_affine_inconsistent():
     a = np.array([[0, 0]], dtype=np.int64)
     b = np.array([1])
-    assert sample_affine(a, b, 3, random.Random(0)) is None
+    assert sample_affine(a, b, [], 3, random.Random(0)) is None
+
+
+def test_sample_affine_draws_like_field_sample():
+    # one free coordinate takes the stream's next field sample; a forced one
+    # takes its value without touching the stream
+    fld = Field(7)
+    for seed in range(5):
+        rng = random.Random(seed)
+        # columns (y, x) with y = 0 answered: y = 0 leaves x free
+        sol = sample_affine(np.array([[1, 0]]), np.array([0]), [0], 7, rng)
+        assert int(sol[0]) == fld.sample(random.Random(seed))
+        rng = random.Random(seed)
+        state = rng.getstate()
+        # y = 5 answered: y + 2x = 3 forces x
+        sol = sample_affine(np.array([[1, 2]]), np.array([3]), [5], 7, rng)
+        assert int(sol[0]) == (3 - 5) * pow(2, -1, 7) % 7
+        assert rng.getstate() == state
+    assert sample_affine(np.array([[1, 0]]), np.array([1]), [0], 7, rng) is None
 
 
 def test_sample_affine_coset_chi2_and_enumeration():
@@ -285,7 +309,7 @@ def test_sample_affine_coset_chi2_and_enumeration():
     n = 3000
     counts = dict.fromkeys(sols, 0)
     for _ in range(n):
-        counts[tuple(sample_affine(a, b, 3, rng))] += 1
+        counts[tuple(sample_affine(a, b, [], 3, rng))] += 1
     expected = n / 3
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     # 2 degrees of freedom; 3 sigma over the mean is amply covered by 16
@@ -308,3 +332,84 @@ def test_sample_affine_translation_bijection():
         set1 = {tuple((x + t) % p) for x in s1.enumerate()}
         set2 = {tuple(x) for x in s2.enumerate()}
         assert set1 == set2
+
+
+@st.composite
+def affine_cases(draw):
+    """Two cosets off + rowspan(rows) in GF(p)^n, p in {2, 3, 5}, n <= 4, and
+    a right-hand side for the first rows read as a system A x = b. Half the
+    time the second coset rewrites the first (rows reversed plus one of
+    their combinations, offset moved within the span), so equal sets are
+    drawn as often as unequal ones."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    elt = st.integers(0, p - 1)
+    vec = st.lists(elt, min_size=n, max_size=n)
+    rows_a = np.array(draw(st.lists(vec, max_size=3)), dtype=np.int64).reshape(-1, n)
+    off_a = np.array(draw(vec), dtype=np.int64)
+    if draw(st.booleans()):
+        mix = np.array(draw(st.lists(elt, min_size=2 * len(rows_a), max_size=2 * len(rows_a))))
+        mix = mix.reshape(2, -1).astype(np.int64)
+        rows_b = np.vstack([rows_a[::-1], mix[:1] @ rows_a % p])
+        off_b = (off_a + mix[1] @ rows_a) % p
+    else:
+        rows_b = np.array(draw(st.lists(vec, max_size=3)), dtype=np.int64).reshape(-1, n)
+        off_b = np.array(draw(vec), dtype=np.int64)
+    b = np.array(draw(st.lists(elt, min_size=len(rows_a), max_size=len(rows_a))), dtype=np.int64)
+    return p, n, off_a, rows_a, off_b, rows_b, b
+
+
+def brute_coset(off, rows, p):
+    """off + rowspan(rows), by enumerating every combination of the rows."""
+    return {
+        tuple((off + np.array(c, dtype=np.int64) @ rows) % p)
+        for c in itertools.product(range(p), repeat=len(rows))
+    }
+
+
+@settings(max_examples=150)
+@given(affine_cases())
+def test_affine_sets_agree_with_enumeration(case):
+    p, n, off_a, rows_a, off_b, rows_b, b = case
+    space = [np.array(x, dtype=np.int64) for x in itertools.product(range(p), repeat=n)]
+    set_a, set_b = brute_coset(off_a, rows_a, p), brute_coset(off_b, rows_b, p)
+    zero = np.zeros(n, dtype=np.int64)
+    assert spans_equal(rows_a, rows_b, p) == (
+        brute_coset(zero, rows_a, p) == brute_coset(zero, rows_b, p)
+    )
+    assert affine_sets_equal(off_a, rows_a, off_b, rows_b, p) == (set_a == set_b)
+    tv = sum(
+        abs(Fraction(tuple(x) in set_a, len(set_a)) - Fraction(tuple(x) in set_b, len(set_b)))
+        for x in space
+    )
+    assert uniform_law_tv(off_a, rows_a, off_b, rows_b, p) == tv / 2
+    coset = coset_system(off_a, rows_a, p)
+    assert {tuple(x) for x in space if coset.contains(x)} == set_a
+    assert p ** coset.dim() == len(set_a)
+    assert tuple(coset.solve()) in set_a
+    system = AffineSystem(rows_a, b, p)
+    sols = {tuple(x) for x in space if not np.any((rows_a @ x - b) % p)}
+    assert {tuple(x) for x in space if system.contains(x)} == sols
+    if sols:
+        assert p ** system.dim() == len(sols)
+        assert tuple(system.solve()) in sols
+    else:
+        assert system.solve() is None and system.dim() is None
+
+
+def test_affine_system_eliminates_once(monkeypatch):
+    import zkpcp.linalg as linalg
+
+    calls = []
+
+    def counting(a, p):
+        calls.append(np.shape(a))
+        return rref(a, p)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    system = AffineSystem(np.array([[1, 2, 0, 1], [2, 4, 1, 0]]), [3, 1], 5)
+    assert system.solve() is not None
+    assert system.dim() == 2
+    assert system.contains(system.solve())
+    assert system.contains(system.sample(random.Random(0)))
+    assert calls == [(2, 5)]

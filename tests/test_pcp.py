@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 import struct
 import sys
 import threading
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from zkpcp import pcp
-from zkpcp.audit import AuditError, ScriptStep, audit_script
+from zkpcp.audit import AuditError, ScriptStep, audit_script, real_law
 from zkpcp.domains import hypercube
 from zkpcp.field import MAX_MODULUS, Field
 from zkpcp.linalg import spans_equal
@@ -1059,13 +1060,17 @@ def test_view_record_replayable():
 
 
 def test_simulator_refuses_queries_no_proof_answers():
+    # the real law refuses the same queries with the same messages: (7, 0)
+    # would otherwise read the table at (2, 0), as rm_generator reduces mod p
     params = SumcheckParams(5, 2, 3, (0, 1))
     sim = SimulatorSession(params, xy_poly(5).eval, 1, random.Random(0))
     for oracle, pt in [("t7", (0, 1)), ("t2", (0, 1)), ("sigma", (9,)),
-                       ("sigma", (-1,)), ("q", (0, 5)), ("q", (0,)),
+                       ("sigma", (-1,)), ("q", (0, 5)), ("q", (7, 0)), ("q", (0,)),
                        ("sigma", (0, 0, 0)), ("r", (0, 1))]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             sim.query(oracle, pt)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            real_law(params, xy_poly(5), [(oracle, pt)])
     assert sim.transcript == [] and sim.values == []
     assert sim.query("sigma", (4,)) == sim.transcript[0][2]
 
@@ -1079,7 +1084,7 @@ def test_failed_extend_poisons_the_session(monkeypatch):
     params = SumcheckParams(11, 2, 3, (0, 1))
     sim = SimulatorSession(params, xy_poly(11).eval, 1, random.Random(0))
     sim.query("sigma", (3,))
-    monkeypatch.setattr(pcp, "sample_new", lambda *args: None)
+    monkeypatch.setattr(pcp, "sample_affine", lambda *args: None)
     with pytest.raises(RuntimeError, match="inconsistent"):
         sim.query("q", (2, 5))
     monkeypatch.undo()

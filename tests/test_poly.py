@@ -13,6 +13,7 @@ from zkpcp.poly import (
     interpolate,
     lagrange,
     monomial_exponents,
+    power_table,
     subcube_sum,
     vanishing,
     zero_code_poly_basis,
@@ -44,8 +45,10 @@ def test_eval_univariate():
 @pytest.mark.parametrize("p", [5, 131071])
 def test_eval_matches_the_monomial_sum(p):
     """Arity 0-3, random degree vectors, coordinates negative or >= p: eval
-    is the sum of c_e * x^e, at the largest modulus too."""
+    is the sum of c_e * x^e, at the largest modulus too, and it builds no
+    p x (d+1) power table."""
     rng = random.Random(p)
+    cached = power_table.cache_info().currsize
     for _ in range(60):
         dv = tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
         coeffs = np.array(
@@ -56,6 +59,7 @@ def test_eval_matches_the_monomial_sum(p):
             x = tuple(rng.randrange(-3 * p, 3 * p) for _ in dv)
             want = sum(int(coeffs[e]) * eval_monomial(e, x, p) for e in monomial_exponents(dv)) % p
             assert poly.eval(x) == want
+    assert power_table.cache_info().currsize == cached
 
 
 def test_eval_arity_mismatch():
