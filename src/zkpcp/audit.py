@@ -12,7 +12,7 @@ distribution equality for that script, not a statistical estimate.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
@@ -90,8 +90,8 @@ def symbolic_simulator_law(
     ``branches`` holds each branch's resolved steps. Returns, per branch, the
     accumulated law over the view's coordinates plus, per step, the column
     whose value the simulator would have returned. Branches that begin with
-    the same steps share that prefix: it runs once, and the view and the law
-    are copied where the branches part.
+    the same steps share that prefix: it runs once, and each step after it
+    continues on copies of its parent's view and law.
     """
     results: list = [None] * len(branches)
     root = (
@@ -103,28 +103,21 @@ def symbolic_simulator_law(
     pending = [(root, 0, range(len(branches)))]
     while pending:
         state, depth, members = pending.pop()
-        view, law, cols = state
-        ended = False
         parts: dict = {}
         for j in members:
             if depth == len(branches[j]):
                 results[j] = state
-                ended = True
             else:
                 parts.setdefault(params.coord(*branches[j][depth]), []).append(j)
         nxt = []
-        for k, (c, js) in enumerate(parts.items()):
-            # the last part carries this state on unless a branch ended here
-            if ended or k < len(parts) - 1:
-                view_k, law_k, cols_k = view.fork(), law.fork(), list(cols)
-            else:
-                view_k, law_k, cols_k = state
-            n_new = view_k.admit(c)
+        for c, js in parts.items():
+            view, law, cols = state[0].fork(), state[1].fork(), list(state[2])
+            n_new = view.admit(c)
             if n_new:
-                a, b, _ = gather_state_rows(view_k)
-                law_k.add_step(n_new, a, b)
-            cols_k.append(view_k.index[c])
-            nxt.append(((view_k, law_k, cols_k), depth + 1, js))
+                a, b, _ = gather_state_rows(view)
+                law.add_step(n_new, a, b)
+            cols.append(view.index[c])
+            nxt.append(((view, law, cols), depth + 1, js))
         pending.extend(reversed(nxt))
     return [(law, cols) for _, law, cols in results]
 
@@ -259,18 +252,13 @@ def enumerate_branches(script: Script):
             for conds, resolved in paths:
                 if step.step >= len(resolved):
                     raise ValueError("branch references a later step")
-                nxt.append(
-                    (
-                        conds + [(step.step, step.equals, True)],
-                        resolved + [(step.then.oracle, step.then.point)],
+                for truth, arm in ((True, step.then), (False, step.else_)):
+                    nxt.append(
+                        (
+                            conds + [(step.step, step.equals, truth)],
+                            resolved + [(arm.oracle, arm.point)],
+                        )
                     )
-                )
-                nxt.append(
-                    (
-                        conds + [(step.step, step.equals, False)],
-                        resolved + [(step.else_.oracle, step.else_.point)],
-                    )
-                )
             paths = nxt
     return paths
 
@@ -280,7 +268,6 @@ class AuditReport:
     tv: Fraction
     support_equal: bool
     branches: int
-    detail: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -367,24 +354,21 @@ def audit_script(
     laws = symbolic_simulator_law(
         params, f_poly.eval, gamma, [steps for _, steps in branches], include_mask_row
     )
-    per_branch = []
-    all_equal = True
-    for (conds, steps), (law, cols) in zip(branches, laws):
-        sim_off, sim_dirs = law.marginal(cols)
-        re_off, re_dirs = real_law(params, f_poly, steps)
-        equal = affine_sets_equal(sim_off, sim_dirs, re_off, re_dirs, p)
-        all_equal = all_equal and equal
-        per_branch.append((conds, sim_off, sim_dirs, re_off, re_dirs, equal))
-    k = len(per_branch[0][1]) if per_branch else 0
-    if all_equal:
-        return AuditReport(Fraction(0), True, len(branches), per_branch)
+    # per branch: its conditions, then the simulated and the real law of its
+    # answers, each as (offset, direction rows)
+    compared = [
+        (conds, law.marginal(cols), real_law(params, f_poly, steps))
+        for (conds, steps), (law, cols) in zip(branches, laws)
+    ]
+    if all(affine_sets_equal(*sim, *re, p) for _, sim, re in compared):
+        return AuditReport(Fraction(0), True, len(branches))
 
     cosets = [
-        (conds, coset_system(sim_off, sim_dirs, p), coset_system(re_off, re_dirs, p))
-        for conds, sim_off, sim_dirs, re_off, re_dirs, _ in per_branch
+        (conds, coset_system(*sim, p), coset_system(*re, p)) for conds, sim, re in compared
     ]
     tv = Fraction(0)
-    for combo in product(range(p), repeat=k):
+    # every branch resolves one query per script step
+    for combo in product(range(p), repeat=len(branches[0][1])):
         ans = np.array(combo, dtype=np.int64)
         for conds, sim, re in cosets:
             if all((ans[j] == v) == truth for j, v, truth in conds):
@@ -392,4 +376,4 @@ def audit_script(
                 p_re = Fraction(1, p ** re.dim()) if re.contains(ans) else Fraction(0)
                 tv += abs(p_sim - p_re)
                 break
-    return AuditReport(tv / 2, False, len(branches), per_branch)
+    return AuditReport(tv / 2, False, len(branches))

@@ -172,8 +172,7 @@ def cmd_verify(args) -> int:
     bundle = load_bundle(args)
     proof = deserialize_proof(read_proof_file(args.proof))
     if proof.params != bundle.params:
-        emit({"record": "verify", "error": "proof parameters do not match instance"})
-        return 2
+        raise ValueError("proof parameters do not match instance")
     accepts = 0
     for i in range(args.trials):
         res = bundle.verify(proof, trial_rng(args.seed, i))
@@ -234,13 +233,7 @@ def cmd_audit_zk(args) -> int:
     # checked before an instance with (d + 1)^m coefficients is built
     coeff_dim = sum(math.prod(d + 1 for d in dv) for _, dv in params.tables)
     if coeff_dim > AUDIT_CAP:
-        emit(
-            {
-                "record": "audit-zk",
-                "error": f"coefficient dimension {coeff_dim} exceeds cap {AUDIT_CAP}",
-            }
-        )
-        return 2
+        raise ValueError(f"coefficient dimension {coeff_dim} exceeds cap {AUDIT_CAP}")
     poly, gamma = instance()
     scripts = []
     if args.script:
@@ -250,8 +243,7 @@ def cmd_audit_zk(args) -> int:
         for i, s in enumerate(script_battery(params, args.battery, args.seed)):
             scripts.append((f"battery[{i}]", s))
     if not scripts:
-        emit({"record": "audit-zk", "error": "no scripts given"})
-        return 2
+        raise ValueError("no scripts given")
     failures = 0
     for name, script in scripts:
         rep = audit_script(

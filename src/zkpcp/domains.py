@@ -114,6 +114,8 @@ class ProductSet:
 
 
 def hypercube(h: Iterable[int], m: int) -> ProductSet:
+    if m < 0:
+        raise ValueError(f"arity must be nonnegative, got m={m}")
     f = tuple(sorted(set(int(a) for a in h)))
     return ProductSet((f,) * m)
 

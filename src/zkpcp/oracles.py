@@ -197,6 +197,13 @@ def attainable_answers_sigma(
     return off, rows
 
 
+def _as_rows(rows, n: int) -> np.ndarray:
+    """Direction rows as a 2-D array with n columns. On zero coordinates
+    every row is empty and spans nothing, so none is kept."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows.reshape(-1, n) if n else rows.reshape(0, 0)
+
+
 def uniform_law_tv(
     off_a, rows_a, off_b, rows_b, p: int
 ) -> Fraction:
@@ -204,8 +211,8 @@ def uniform_law_tv(
 
     Each set is a coset system (``linalg.coset_system``); stacking the two
     counts their intersection."""
-    ca = coset_system(off_a, np.reshape(rows_a, (-1, len(off_a))), p)
-    cb = coset_system(off_b, np.reshape(rows_b, (-1, len(off_b))), p)
+    ca = coset_system(off_a, _as_rows(rows_a, len(off_a)), p)
+    cb = coset_system(off_b, _as_rows(rows_b, len(off_b)), p)
     both = np.vstack([ca.rows, cb.rows])
     common = AffineSystem(both[:, :-1], both[:, -1], p).dim()
     inter = 0 if common is None else p**common

@@ -151,6 +151,8 @@ class SumcheckParams:
     h: tuple[int, ...]
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"arity must be nonnegative, got m={self.m}")
         if self.p > MAX_MODULUS:
             raise ValueError(f"modulus exceeds the bound {MAX_MODULUS}")
         if not is_prime(self.p):
@@ -665,15 +667,15 @@ class ViewState:
         )
         self.coords: list[Coord] = []
         self.index: dict[Coord, int] = {}
-        # (table, points) -> that table's cd_rm basis on the points
-        self.table_bases: dict = {}
+        # where the coordinates of the latest admission start in ``coords``
+        self.start = 0
 
     def fork(self) -> "ViewState":
         """An independent copy, for continuing the view along another branch.
 
-        The copy shares the spec's located layers, ``table_bases`` and
-        ``f_vals``: all hold pure functions of the parameters and the points,
-        so they stay valid on every branch.
+        The copy shares the spec's located layers and ``f_vals``: both hold
+        pure functions of the parameters and the points, so they stay valid
+        on every branch.
         """
         other = copy.copy(self)
         other.coords = list(self.coords)
@@ -692,6 +694,7 @@ class ViewState:
         """
         if c in self.index:
             return 0
+        self.start = len(self.coords)
         pt = c[1]
         entering = [("sigma", pt)]
         # Any full-arity point entering the view materialises its mask
@@ -775,20 +778,24 @@ class SimulatorSession:
 
 
 def gather_state_rows(view: ViewState):
-    """Every linear relation tying the view's coordinates together.
+    """The linear relations the view's latest admission adds.
 
     Rows are dense over ``view.coords``: the composed locator's constraints
-    on the proof word (message values substituted), per-table detector rows,
-    and one mask-consistency row per full-arity proof-word point, in order
-    of arrival. Returns (A, b, message positions read) for the system
-    A x = b.
+    on the whole proof word (message values substituted), the detector rows
+    of each mask table that just gained a point, and the mask-consistency
+    row of a full-arity proof-word point that just entered. Every other row
+    of the view was gathered at an earlier step of the same lineage, over
+    earlier coordinates only, so these rows stacked on the earlier steps'
+    have the solution set of the whole view's. Returns (A, b, message
+    positions read) for the system A x = b.
     """
     sig_pts = sorted(view.points("sigma"), key=lambda q: (len(q), q))
     a_sig, b_sig, reads = constraint_rows_for(view.spec, sig_pts)
     sig_rows = np.zeros((len(a_sig), len(view.coords)), dtype=np.int64)
     sig_rows[:, view.cols("sigma", sig_pts)] = a_sig
     table_rows = build_table_rows(view)
-    full = [pt for pt in view.points("sigma") if len(pt) == view.params.m]
+    new = view.coords[view.start :]
+    full = [pt for o, pt in new if o == "sigma" and len(pt) == view.params.m]
     masks = [mask_row(view, pt) for pt in full] if view.include_mask_row else []
     a = np.vstack([sig_rows, table_rows] + [row for row, _ in masks])
     b = np.concatenate(
@@ -802,17 +809,17 @@ def gather_state_rows(view: ViewState):
 
 
 def build_table_rows(view: ViewState) -> np.ndarray:
-    """Detector rows for each mask table over the points the view holds."""
+    """Detector rows of each mask table that the latest admission gave a
+    point, over all of that table's points in the view."""
     params = view.params
-    blocks = []
+    gained = {o for o, _ in view.coords[view.start :]}
+    blocks = [np.zeros((0, len(view.coords)), dtype=np.int64)]
     for oracle, dv in params.tables:
-        key = (oracle, tuple(sorted(view.points(oracle))))
-        if key not in view.table_bases:
-            view.table_bases[key] = cd_rm(CodeView(params.fld, params.m, dv), key[1])
-        cb = view.table_bases[key]
-        rows = np.zeros((len(cb.z), len(view.coords)), dtype=np.int64)
-        rows[:, view.cols(oracle, cb.domain)] = cb.z
-        blocks.append(rows)
+        if oracle in gained:
+            cb = cd_rm(CodeView(params.fld, params.m, dv), sorted(view.points(oracle)))
+            rows = np.zeros((len(cb.z), len(view.coords)), dtype=np.int64)
+            rows[:, view.cols(oracle, cb.domain)] = cb.z
+            blocks.append(rows)
     return np.vstack(blocks)
 
 

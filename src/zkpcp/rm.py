@@ -29,6 +29,8 @@ class CodeView:
     dv: tuple[int, ...]
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"arity must be nonnegative, got m={self.m}")
         if len(self.dv) != self.m:
             raise ValueError("degree vector length must equal arity")
 

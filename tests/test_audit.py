@@ -19,8 +19,11 @@ from zkpcp.audit import (
     symbolic_simulator_law,
 )
 import zkpcp.audit as audit_mod
+import zkpcp.pcp as pcp_mod
 from zkpcp.domains import rev_point
-from zkpcp.linalg import rref
+from zkpcp.encoding import constraint_rows_for
+from zkpcp.field import Field
+from zkpcp.linalg import AffineSystem, rref
 from zkpcp.oracles import uniform_law_tv
 from zkpcp.pcp import SimulatorSession, SumcheckParams, ViewState, gather_state_rows
 from zkpcp.poly import (
@@ -30,6 +33,7 @@ from zkpcp.poly import (
     monomial_exponents,
     univariate_from_roots,
 )
+from zkpcp.rm import CodeView, cd_rm
 
 
 def xy_poly(p):
@@ -55,6 +59,9 @@ def test_uniform_law_tv_disjoint_and_nested():
     tv = uniform_law_tv(off_a, rows_c, off_a, rows_a, p)
     assert tv == Fraction(2, 3)
     assert uniform_law_tv(off_a, rows_a, off_a, rows_a, p) == 0
+    # two laws on zero coordinates are the same point mass
+    empty = np.zeros(0, dtype=np.int64)
+    assert uniform_law_tv(empty, np.zeros((0, 0)), empty, np.zeros((0, 0)), p) == 0
 
 
 def test_parse_script_and_branches():
@@ -386,34 +393,30 @@ def test_shared_prefix_is_built_once(monkeypatch):
 
 
 def test_reused_views_gather_the_rows_of_fresh_ones(monkeypatch):
-    """Forks share the located layers and the table bases. Over a 60-script
-    battery, every forked view that reuses them gathers exactly the rows of
-    a fresh view replaying the same admissions, and reuse saves work."""
-    import zkpcp.pcp as pcp_mod
+    """Forks share the located layers. Over a 60-script battery, every
+    forked view that reuses them gathers exactly the rows of a fresh view
+    replaying the same admissions, and reuse saves locator work."""
     import zkpcp.sigma_rm as sigma_mod
 
-    calls = {"rm_locate": 0, "cd_rm": 0}
+    calls = [0]
+    rm_locate = sigma_mod.rm_locate
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted(*args):
+        calls[0] += 1
+        return rm_locate(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(sigma_mod, "rm_locate", counted("rm_locate", sigma_mod.rm_locate))
-    monkeypatch.setattr(pcp_mod, "cd_rm", counted("cd_rm", pcp_mod.cd_rm))
+    monkeypatch.setattr(sigma_mod, "rm_locate", counted)
 
     def gather(view):
-        before = dict(calls)
+        before = calls[0]
         rows = gather_state_rows(view)
-        return rows, {k: calls[k] - before[k] for k in calls}
+        return rows, calls[0] - before
 
     params = SumcheckParams(5, 3, 3, (0, 1))
     rng = np.random.default_rng(5)
     poly = MultiPoly(5, rng.integers(0, 5, (4, 4, 4)))
     gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 5
-    spent = {"reused": {"rm_locate": 0, "cd_rm": 0}, "fresh": {"rm_locate": 0, "cd_rm": 0}}
+    spent = {"reused": 0, "fresh": 0}
     for script in script_battery(params, 60, 0):
         root = ViewState(params, poly.eval, gamma)
         for _, steps in enumerate_branches(script):
@@ -432,12 +435,146 @@ def test_reused_views_gather_the_rows_of_fresh_ones(monkeypatch):
                 (fa, fb, freads), fresh_used = gather(fresh)
                 assert np.array_equal(a, fa) and np.array_equal(b, fb)
                 assert reads == freads
-                for k in calls:
-                    spent["reused"][k] += used[k]
-                    spent["fresh"][k] += fresh_used[k]
-            assert view.table_bases is root.table_bases
-    for k in calls:
-        assert 0 < spent["reused"][k] < spent["fresh"][k], (k, spent)
+                spent["reused"] += used
+                spent["fresh"] += fresh_used
+    assert 0 < spent["reused"] < spent["fresh"], spent
+
+
+def whole_view_rows(view):
+    """Every row of the whole view: the composed-locator rows of the proof
+    word, every mask table's full detector basis and, unless the view drops
+    them, every full-arity proof-word point's mask row. This is what the
+    gather emitted at every step before it kept only the rows an admission
+    adds."""
+    params, n = view.params, len(view.coords)
+    sig_pts = sorted(view.points("sigma"), key=lambda q: (len(q), q))
+    a_sig, b_sig, _ = constraint_rows_for(view.spec, sig_pts)
+    sig_rows = np.zeros((len(a_sig), n), dtype=np.int64)
+    sig_rows[:, view.cols("sigma", sig_pts)] = a_sig
+    blocks, rhs = [sig_rows], [np.asarray(b_sig, dtype=np.int64)]
+    for oracle, dv in params.tables:
+        cb = cd_rm(CodeView(params.fld, params.m, dv), sorted(view.points(oracle)))
+        rows = np.zeros((len(cb.z), n), dtype=np.int64)
+        rows[:, view.cols(oracle, cb.domain)] = cb.z
+        blocks.append(rows)
+        rhs.append(np.zeros(len(cb.z), dtype=np.int64))
+    if view.include_mask_row:
+        for pt in view.points("sigma"):
+            if len(pt) == params.m:
+                row, b = pcp_mod.mask_row(view, pt)
+                blocks.append(row[None])
+                rhs.append(np.array([b], dtype=np.int64))
+    return np.vstack(blocks), np.concatenate(rhs)
+
+
+class StackedSteps:
+    """The rows of every step of one lineage so far, each zero-padded on the
+    columns that entered after it, as one reduced system."""
+
+    def __init__(self, p):
+        self.system = AffineSystem(np.zeros((0, 0), dtype=np.int64), [], p)
+
+    def add(self, a, b):
+        old = self.system
+        pad = np.zeros((len(old.rows), a.shape[1] - old.n), dtype=np.int64)
+        self.system = AffineSystem(
+            np.vstack([np.hstack([old.rows[:, : old.n], pad]), a]),
+            np.concatenate([old.rows[:, old.n], b]),
+            old.p,
+        )
+
+    def matches(self, view) -> bool:
+        """Whether the stacked rows have the RREF of the whole view's."""
+        whole = AffineSystem(*whole_view_rows(view), view.params.p)
+        return self.system.pivots == whole.pivots and np.array_equal(
+            self.system.rows, whole.rows
+        )
+
+
+@pytest.mark.parametrize("include_mask_row", [True, False])
+def test_stacked_step_rows_are_the_whole_view_rows(include_mask_row):
+    """After every step of every branch of a 60-script battery, the rows the
+    steps gathered, stacked, reduce to the RREF of the whole view's rows."""
+    params = SumcheckParams(5, 3, 3, (0, 1))
+    rng = np.random.default_rng(8)
+    poly = MultiPoly(5, rng.integers(0, 5, (4, 4, 4)))
+    gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 5
+    checked = 0
+    for script in script_battery(params, 60, 0):
+        for _, steps in enumerate_branches(script):
+            view = ViewState(params, poly.eval, gamma, include_mask_row)
+            stack = StackedSteps(params.p)
+            for step in steps:
+                if view.admit(params.coord(*step)):
+                    a, b, _ = gather_state_rows(view)
+                    stack.add(a, b)
+                    assert stack.matches(view), (script, step)
+                    checked += 1
+    assert checked > 150
+
+
+def test_simulator_steps_stack_to_the_whole_view(monkeypatch):
+    """In simulator sessions at p=7, m=2, the rows each step gathers, stacked
+    over the session, reduce to the RREF of the whole view's rows, and the
+    answered values satisfy every row of the whole view. A session that
+    meets the open inconsistency stops there, after its rows were checked."""
+    params = SumcheckParams(7, 2, 3, (0, 1))
+    steps = []
+    gather = pcp_mod.gather_state_rows
+
+    def stacked(view):
+        a, b, reads = gather(view)
+        steps.append((a, b))
+        return a, b, reads
+
+    monkeypatch.setattr(pcp_mod, "gather_state_rows", stacked)
+    for seed in range(4):
+        rng = random.Random(seed)
+        poly = MultiPoly(7, Field(7).sample_array(rng, (4, 4)))
+        gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 7
+        sim = SimulatorSession(params, poly.eval, gamma, rng)
+        stack = StackedSteps(7)
+        for _ in range(30):
+            oracle = rng.choice(params.oracles)
+            arity = rng.randrange(3) if oracle == "sigma" else 2
+            steps.clear()
+            try:
+                sim.query(oracle, tuple(rng.randrange(7) for _ in range(arity)))
+            except RuntimeError:
+                break
+            finally:
+                for a, b in steps:
+                    stack.add(a, b)
+                    assert stack.matches(sim.view)
+            whole = AffineSystem(*whole_view_rows(sim.view), 7)
+            assert whole.contains(sim.values)
+
+
+def test_mask_row_runs_once_per_entering_full_arity_point(monkeypatch):
+    """Each full-arity proof-word point gets its mask row once, at the step
+    it enters the view, whichever oracle brought it in."""
+    calls = []
+    mask_row = pcp_mod.mask_row
+
+    def counted(view, pt):
+        calls.append(pt)
+        return mask_row(view, pt)
+
+    monkeypatch.setattr(pcp_mod, "mask_row", counted)
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    poly = xy_poly(5)
+    rng = random.Random(3)
+    sim = SimulatorSession(params, poly.eval, 1, rng)
+    for _ in range(40):
+        oracle = rng.choice(params.oracles)
+        arity = rng.randrange(3) if oracle == "sigma" else 2
+        n, entered = len(sim.view.coords), len(calls)
+        sim.query(oracle, tuple(rng.randrange(5) for _ in range(arity)))
+        assert calls[entered:] == [
+            pt for o, pt in sim.view.coords[n:] if o == "sigma" and len(pt) == 2
+        ]
+    full = [pt for pt in sim.view.points("sigma") if len(pt) == 2]
+    assert len(full) > 10 and sorted(calls) == sorted(full)
 
 
 def test_view_evaluates_f_once_per_point():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -351,7 +352,7 @@ def test_audit_zk_battery_runs_exactly_count_scripts(battery, scripts):
 def test_audit_zk_refuses_an_empty_or_negative_battery():
     code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", "0")
     assert code == 2
-    assert recs == [{"record": "audit-zk", "error": "no scripts given"}]
+    assert recs == [{"record": "error", "message": "no scripts given"}]
     code, recs = run_cli("audit-zk", "--field", "5", "--m", "3", "--battery", "-2")
     assert code == 2
     assert [r["record"] for r in recs] == ["error"]
@@ -539,5 +540,85 @@ def test_audit_zk_checks_the_dimension_before_building_an_instance(monkeypatch, 
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     dim = 4**12 + 12 * 4**11 * 2
     assert recs == [
-        {"record": "audit-zk", "error": f"coefficient dimension {dim} exceeds cap {1 << 24}"}
+        {"record": "error", "message": f"coefficient dimension {dim} exceeds cap {1 << 24}"}
     ]
+
+
+def test_verify_refuses_a_proof_for_other_parameters(cnf_file, tmp_path):
+    """A proof made for another formula's parameters is refused with the
+    standard error record and exit 2."""
+    other = tmp_path / "three.cnf"
+    other.write_text("p cnf 3 1\n1 2 3 0\n")
+    out = str(tmp_path / "p.bin")
+    code, _ = run_cli("prove", "--cnf", str(other), "--count", "7", "--out", out)
+    assert code == 0
+    code, recs = run_cli("verify", "--cnf", cnf_file, "--count", "3", "--proof", out)
+    assert code == 2
+    assert recs == [{"record": "error", "message": "proof parameters do not match instance"}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locate", "--code", "antisym", "--points", "[]"],
+        ["locate", "--code", "rm", "--points", "[]"],
+        ["locate", "--code", "sigma-rm", "--points", "[]"],
+        ["detect", "--points", "[]"],
+        ["simulate", "--script", "SCRIPT"],
+        ["audit-zk", "--script", "SCRIPT"],
+    ],
+)
+def test_commands_refuse_a_negative_arity(argv, script_file):
+    """--m -1 is refused with one error record that names the arity."""
+    argv = [script_file if a == "SCRIPT" else a for a in argv]
+    code, recs = run_cli(*argv, "--field", "5", "--m", "-1")
+    assert code == 2
+    assert recs == [{"record": "error", "message": "arity must be nonnegative, got m=-1"}]
+
+
+def pin(name, digest, *argv):
+    return pytest.param(list(argv), digest, id=name)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pin("f.proof", "e34131ecbffe828bff5431d8a32ecefea0435615801c49750f57db6921d08926",
+            "prove", "--cnf", "F_CNF", "--count", "2", "--out", "OUT"),
+        pin("simulate", "2f867c94a1de0238b782fe5ba2c1bce5b63afab5aad067c0786ff32029fdeeec",
+            "simulate", "--script", "SCRIPT", "--field", "5", "--m", "2", "--seed", "4"),
+        pin("negative-control",
+            "d1f4f2e8bde47177dafa7fede88b558ccb51868753b0102dfdc8aa6380b65a30",
+            "audit-zk", "--field", "5", "--m", "3", "--battery", "4", "--seed", "0",
+            "--negative-control"),
+        pin("rm", "5ccc7e67ff06d72cdd0b1960f126a7a5b23fbffcce769428f5d9639abf5fb576",
+            "locate", "--code", "rm", "--field", "5", "--m", "2", "--degree", "3",
+            "--points", "[[0,2],[1,2],[2,2],[3,2],[4,2],[2,3],[1,1]]"),
+        pin("rm-free", "a2b49baec09b27c70d9c36d1fdb8141d5380c87c7446fa78b7f0e3c1aa0f083a",
+            "locate", "--code", "rm", "--field", "5", "--m", "2", "--degree", "3",
+            "--points", "[[2,3],[4,2],[0,1]]"),
+        pin("sigma-rm", "7cf08766e9657dc74d686154e4c7b4d1fadbe5bf11f9719fee2c965630e7788a",
+            "locate", "--code", "sigma-rm", "--field", "5", "--m", "2", "--degree", "3",
+            "--points", "[[2],[0,3],[4,4],[]]"),
+        pin("antisym", "9fc8de134ace87e278ca157a0add13accac00ed1d3e5ec16833fb1f62f90ad79",
+            "locate", "--code", "antisym", "--field", "5", "--m", "2",
+            "--points", "[[0],[1,0],[]]"),
+        pin("detect", "e50d02c3242b207f6ed7dbbb3d2c2d7bcb07ac1b7f025a221589664b7ee7b98c",
+            "detect", "--field", "5", "--m", "2", "--degree", "1",
+            "--points", "[[0,0],[1,1],[2,2],[3,1],[4,0],[2,3]]"),
+    ],
+)
+def test_outputs_pinned_in_ci(argv, digest, script_file, tmp_path):
+    """The outputs the CI workflow pins by sha256, byte for byte: the proof
+    file that prove writes, else the command's record stream."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n")
+    out = tmp_path / "f.proof"
+    given = {"F_CNF": str(cnf), "OUT": str(out), "SCRIPT": script_file}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkpcp.cli", *(given.get(a, a) for a in argv)],
+        capture_output=True,
+        env=cli_env(),
+    )
+    data = out.read_bytes() if argv[0] == "prove" else proc.stdout
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -145,6 +145,20 @@ def test_params_validation():
     assert not SumcheckParams(31, 2, 3, (0, 1)).meets_soundness_bound
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hypercube((0, 1), -1),
+        lambda: CodeView(Field(5), -1, ()),
+        lambda: SumcheckParams(5, -1, 3, (0, 1)),
+    ],
+    ids=["hypercube", "CodeView", "SumcheckParams"],
+)
+def test_a_negative_arity_is_refused(build):
+    with pytest.raises(ValueError, match=re.escape("arity must be nonnegative, got m=-1")):
+        build()
+
+
 def test_prove_deterministic_given_seed():
     params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
