@@ -5,8 +5,9 @@ of the masked instance polynomial over prefixes of F^{<=m}; pi_q and the
 pi_t tables hold the mask components as full evaluation tables. The
 verifier replays one random sumcheck path against interpolated univariate
 slices plus axis-parallel-line degree tests. The simulator answers queries
-through the composed locally-simulatable encoding for pi_sigma and exact
-conditional sampling for the mask tables.
+by exact conditional sampling over pi_sigma and the mask tables jointly,
+with the composed locally-simulatable encoding's rows for pi_sigma on views
+that hold a subcube sum over a proper prefix.
 """
 from __future__ import annotations
 
@@ -720,13 +721,20 @@ class SimulatorSession:
     """Exact simulator for the proof oracles on a true statement.
 
     Every answer is drawn from the conditional distribution given the whole
-    current view: the accumulated system of composed-locator rows for the
-    proof word, detector rows for each mask table, and one mask-consistency
-    row per table-queried point. Conditioning on the proof-word part alone
-    would not be exact, because mask-table reads can pin the proof word at
-    fresh points (read one full T-table line at arity one, or both
-    orientations of Q plus the T values at a point), so each new value is
-    solved jointly against everything already answered.
+    current view: the accumulated system of detector rows for each mask
+    table, one mask-consistency row per full-arity proof-word point and,
+    at steps whose view holds a proof-word point of arity < m, the composed
+    locator's rows for the proof word (see ``gather_state_rows``).
+    Conditioning on the proof-word part alone would not be exact, because
+    mask-table reads can pin the proof word at fresh points (read one full
+    T-table line at arity one, or both orientations of Q plus the T values
+    at a point), so each new value is solved jointly against everything
+    already answered.
+
+    ``messages_read`` holds the message positions (``()`` for the claimed
+    total, cube points for F) whose values the composed locator's rows
+    read. A step on a view of only full-arity points reads none: its mask
+    row evaluates F at the queried point alone, which is no message read.
     """
 
     def __init__(
@@ -780,17 +788,26 @@ class SimulatorSession:
 def gather_state_rows(view: ViewState):
     """The linear relations the view's latest admission adds.
 
-    Rows are dense over ``view.coords``: the composed locator's constraints
-    on the whole proof word (message values substituted), the detector rows
-    of each mask table that just gained a point, and the mask-consistency
-    row of a full-arity proof-word point that just entered. Every other row
-    of the view was gathered at an earlier step of the same lineage, over
-    earlier coordinates only, so these rows stacked on the earlier steps'
-    have the solution set of the whole view's. Returns (A, b, message
-    positions read) for the system A x = b.
+    Rows are dense over ``view.coords``: the detector rows of each mask
+    table that just gained a point, the mask-consistency row of a
+    full-arity proof-word point that just entered and, on a view that holds
+    a proof-word point of arity < m (or drops the mask rows), the composed
+    locator's constraints on the whole proof word (message values
+    substituted). Every other row of the view was gathered at an earlier
+    step of the same lineage, over earlier coordinates only, so these rows
+    stacked on the earlier steps' have the solution set of the whole view's.
+
+    On a view whose proof-word points all have arity m, the composed rows
+    are implied by the rest: there Σ(pt) = F(pt) + mask(pt), with Q and the
+    Tᵢ independent uniform Reed-Muller codewords, so the mask rows and each
+    table's full detector basis already span the dual of the view's law.
+    Such a step reads no message position. Returns (A, b, message positions
+    read) for the system A x = b.
     """
     sig_pts = sorted(view.points("sigma"), key=lambda q: (len(q), q))
-    a_sig, b_sig, reads = constraint_rows_for(view.spec, sig_pts)
+    a_sig, b_sig, reads = np.zeros((0, len(sig_pts)), np.int64), np.zeros(0, np.int64), ()
+    if not view.include_mask_row or any(len(q) < view.params.m for q in sig_pts):
+        a_sig, b_sig, reads = constraint_rows_for(view.spec, sig_pts)
     sig_rows = np.zeros((len(a_sig), len(view.coords)), dtype=np.int64)
     sig_rows[:, view.cols("sigma", sig_pts)] = a_sig
     table_rows = build_table_rows(view)

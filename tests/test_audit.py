@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -135,6 +136,25 @@ def test_broken_simulator_flagged():
     bad = audit_script(PARAMS3, POLY3, GAMMA3, script, include_mask_row=False)
     assert ok.tv == 0
     assert bad.tv > 0 and not bad.support_equal
+
+
+def test_every_two_query_view_audits_to_zero():
+    """Every ordered pair of distinct coordinates at p=3, m=2, d=3, H={0,1},
+    F = X1·X2 audits to TV = 0. A branch of an adaptive script is a query
+    sequence, and equal laws have equal marginals, so this covers every
+    adaptive script of at most two queries at these parameters."""
+    coords = [
+        (o, pt)
+        for o in PARAMS3.oracles
+        for k in ([0, 1, 2] if o == "sigma" else [2])
+        for pt in itertools.product(range(3), repeat=k)
+    ]
+    audited = 0
+    for a, b in itertools.permutations(coords, 2):
+        rep = audit_script(PARAMS3, POLY3, GAMMA3, [ScriptStep(*a), ScriptStep(*b)])
+        assert rep.tv == 0 and rep.support_equal, (a, b)
+        audited += 1
+    assert len(coords) == 40 and audited == 1560
 
 
 def test_battery_returns_exactly_count_scripts_fixed_first():
@@ -491,13 +511,17 @@ class StackedSteps:
         )
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("include_mask_row", [True, False])
-def test_stacked_step_rows_are_the_whole_view_rows(include_mask_row):
+def test_stacked_step_rows_are_the_whole_view_rows(include_mask_row, m):
     """After every step of every branch of a 60-script battery, the rows the
-    steps gathered, stacked, reduce to the RREF of the whole view's rows."""
-    params = SumcheckParams(5, 3, 3, (0, 1))
+    steps gathered, stacked, reduce to the RREF of the whole view's rows.
+    The whole view's rows hold the composed-locator rows on every view, so
+    this also checks that the ones the gather leaves out on full-arity
+    views are implied by the rest."""
+    params = SumcheckParams(5, m, 3, (0, 1))
     rng = np.random.default_rng(8)
-    poly = MultiPoly(5, rng.integers(0, 5, (4, 4, 4)))
+    poly = MultiPoly(5, rng.integers(0, 5, (4,) * m))
     gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 5
     checked = 0
     for script in script_battery(params, 60, 0):
@@ -548,6 +572,69 @@ def test_simulator_steps_stack_to_the_whole_view(monkeypatch):
                     assert stack.matches(sim.view)
             whole = AffineSystem(*whole_view_rows(sim.view), 7)
             assert whole.contains(sim.values)
+
+
+def test_composed_locator_runs_only_on_views_with_a_short_prefix(monkeypatch):
+    """The proof word's composed locator runs at no step while every Σ point
+    in the view has arity m; it runs from the step a shorter prefix enters
+    (the empty one included) on every later step, and on every step of a
+    view that drops the mask rows."""
+    calls = [0]
+    rows_for = pcp_mod.constraint_rows_for
+
+    def counted(spec, pts):
+        calls[0] += 1
+        return rows_for(spec, pts)
+
+    monkeypatch.setattr(pcp_mod, "constraint_rows_for", counted)
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    full = [("sigma", (1, 2)), ("q", (2, 3)), ("t0", (0, 4)), ("t1", (3, 3)), ("sigma", (4, 0))]
+    later = [("q", (1, 1)), ("sigma", (0, 2)), ("t1", (2, 4))]
+    for short in [(), (3,)]:
+        for include_mask_row in (True, False):
+            view = ViewState(params, xy_poly(5).eval, 1, include_mask_row)
+            ran = []
+            for step in full + [("sigma", short)] + later:
+                assert view.admit(params.coord(*step))
+                before = calls[0]
+                gather_state_rows(view)
+                ran.append(calls[0] - before)
+            if include_mask_row:
+                assert ran == [0] * len(full) + [1] * (1 + len(later))
+            else:
+                assert ran == [1] * len(ran)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 2), (5, 3)])
+def test_simulator_draws_equal_those_of_the_whole_view_gather(
+    monkeypatch, p, m
+):
+    """Seeded simulator sessions on random query streams give the transcripts,
+    and turn inconsistent at the queries, that they give when every step
+    gathers the whole view's rows, composed-locator rows included."""
+    params = SumcheckParams(p, m, 3, (0, 1))
+
+    def session(seed, gather):
+        monkeypatch.setattr(pcp_mod, "gather_state_rows", gather)
+        rng = random.Random(seed)
+        poly = MultiPoly(p, Field(p).sample_array(rng, (4,) * m))
+        gamma = sum(poly.eval(pt) for pt in params.cube.points()) % p
+        sim = SimulatorSession(params, poly.eval, gamma, rng)
+        for _ in range(16):
+            oracle = rng.choice(params.oracles)
+            arity = rng.randrange(m + 1) if oracle == "sigma" else m
+            try:
+                sim.query(oracle, tuple(rng.randrange(p) for _ in range(arity)))
+            except RuntimeError:
+                return sim.transcript, True
+        return sim.transcript, False
+
+    answered = 0
+    for seed in range(6):
+        got = session(seed, gather_state_rows)
+        assert got == session(seed, lambda view: (*whole_view_rows(view), ())), seed
+        answered += len(got[0])
+    assert answered > 40
 
 
 def test_mask_row_runs_once_per_entering_full_arity_point(monkeypatch):

@@ -914,6 +914,22 @@ def test_simulator_examples():
     ]
 
 
+def test_messages_read_only_on_views_with_a_short_prefix():
+    """Queries at full-arity points read no message position; once Σ(())
+    enters, the reads hold () and otherwise only cube points."""
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    sim = SimulatorSession(params, xy_poly(5).eval, 1, random.Random(0))
+    for o, pt in [("sigma", (1, 2)), ("q", (2, 3)), ("t0", (0, 4)), ("t1", (4, 4)), ("sigma", (3, 0))]:
+        sim.query(o, pt)
+    assert sim.messages_read == set()
+    sim.query("sigma", ())
+    assert () in sim.messages_read
+    for o, pt in [("sigma", (2,)), ("sigma", (0, 1)), ("q", (1, 3))]:
+        sim.query(o, pt)
+    cube = set(params.cube.points())
+    assert all(q == () or q in cube for q in sim.messages_read)
+
+
 def test_simulator_rejects_false_statement():
     params = SumcheckParams(5, 2, 3, (0, 1))
     poly = xy_poly(5)
