@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -362,18 +362,39 @@ def audit_script(
     ]
     if all(affine_sets_equal(*sim, *re, p) for _, sim, re in compared):
         return AuditReport(Fraction(0), True, len(branches))
+    tv = sum(branch_tv(sim, re, conds, p) for conds, sim, re in compared)
+    return AuditReport(tv, False, len(branches))
 
-    cosets = [
-        (conds, coset_system(*sim, p), coset_system(*re, p)) for conds, sim, re in compared
-    ]
-    tv = Fraction(0)
-    # every branch resolves one query per script step
-    for combo in product(range(p), repeat=len(branches[0][1])):
-        ans = np.array(combo, dtype=np.int64)
-        for conds, sim, re in cosets:
-            if all((ans[j] == v) == truth for j, v, truth in conds):
-                p_sim = Fraction(1, p ** sim.dim()) if sim.contains(ans) else Fraction(0)
-                p_re = Fraction(1, p ** re.dim()) if re.contains(ans) else Fraction(0)
-                tv += abs(p_sim - p_re)
-                break
-    return AuditReport(tv / 2, False, len(branches))
+
+def branch_tv(sim, real, conds, p: int) -> Fraction:
+    """One branch's share of the total variation between the uniform laws on
+    two affine sets, each given as (offset, direction rows): with S and R the
+    sets and Reg the answers the branch's conditions select, it is
+    ½(|S∩Reg|/|S| + |R∩Reg|/|R|) − |S∩R∩Reg| / max(|S|, |R|). A count is p^dim
+    of the set's system plus a unit row per equal condition, by
+    inclusion-exclusion over the unequal ones. With no conditions the share
+    is the whole distance."""
+    s, r = coset_system(*sim, p), coset_system(*real, p)
+    n = s.n
+    # an answer lies in [0, p), so it never equals a value outside that range
+    eq = [(j, v) for j, v, truth in conds if truth]
+    ne = [(j, v) for j, v, truth in conds if not truth and 0 <= v < p]
+    if any(not 0 <= v < p for _, v in eq):
+        return Fraction(0)
+
+    def count(rows) -> int:
+        """Solutions of the [A | b] rows that lie in Reg."""
+        total = 0
+        for k in range(len(ne) + 1):
+            for drop in combinations(ne, k):
+                fixed = eq + list(drop)
+                units = np.eye(n + 1, dtype=np.int64)[[j for j, _ in fixed]]
+                units[:, n] = [v for _, v in fixed]
+                both = np.vstack([rows, units])
+                dim = AffineSystem(both[:, :n], both[:, n], p).dim()
+                total += 0 if dim is None else (-1) ** k * p**dim
+        return total
+
+    size_s, size_r = p ** s.dim(), p ** r.dim()
+    share = Fraction(count(s.rows), size_s) + Fraction(count(r.rows), size_r)
+    return share / 2 - Fraction(count(np.vstack([s.rows, r.rows])), max(size_s, size_r))

@@ -102,17 +102,19 @@ def read_proof_file(path) -> memoryview:
     return memoryview(buf)[4:]
 
 
-def load_bundle(args):
-    text = Path(args.cnf).read_text()
-    cnf = parse_dimacs(text)
-    return pcp_for_sharp_sat(cnf, args.count, p=args.field)
+def load_bundle(args, count=None):
+    """The --cnf formula's PCP over --field (by default the formula's own
+    prime), claiming ``count``, or the formula's model count if None."""
+    cnf = parse_dimacs(Path(args.cnf).read_text())
+    return pcp_for_sharp_sat(cnf, cnf.model_count() if count is None else count, p=args.field)
 
 
-def load_instance(args):
+def load_instance(args, field: int):
     """The parameters simulate and audit-zk run on, and a call returning the
-    instance polynomial and its claimed cube total: the --cnf formula's, or a
-    seeded random one from --field, --m, --degree and --h-set (by default m=2,
-    d=3, H={0,1}). The formula fixes m, d and H, so those three options are
+    instance polynomial and its claimed cube total: the --cnf formula's, with
+    its model count as the total, or a seeded random one from --field (by
+    default ``field``), --m, --degree and --h-set (by default m=2, d=3,
+    H={0,1}). The formula fixes m, d and H, so those three options are
     refused next to --cnf. The call lets a caller check the parameters before
     a random instance is built."""
     given = {k: getattr(args, k) for k in ("m", "degree", "h_set") if getattr(args, k) is not None}
@@ -124,7 +126,8 @@ def load_instance(args):
         return bundle.params, lambda: (bundle.poly, bundle.gamma)
     opts = {"m": 2, "degree": "3", "h_set": "0,1", **given}
     m = opts["m"]
-    params = SumcheckParams(args.field, m, parse_degree(opts["degree"], m), parse_h(opts["h_set"]))
+    p = field if args.field is None else args.field
+    params = SumcheckParams(p, m, parse_degree(opts["degree"], m), parse_h(opts["h_set"]))
     return params, lambda: random_instance(params, args.seed)
 
 
@@ -141,7 +144,7 @@ def random_instance(params: SumcheckParams, seed: int) -> tuple[MultiPoly, int]:
 
 
 def cmd_prove(args) -> int:
-    bundle = load_bundle(args)
+    bundle = load_bundle(args, args.count)
     rng = trial_rng(args.seed, 0)
     proof = prove_shifted(bundle, rng) if args.dishonest_shift else bundle.prove(rng)
     if proof.sigma_at(()) != bundle.gamma:
@@ -169,7 +172,7 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    bundle = load_bundle(args)
+    bundle = load_bundle(args, args.count)
     proof = deserialize_proof(read_proof_file(args.proof))
     if proof.params != bundle.params:
         raise ValueError("proof parameters do not match instance")
@@ -199,7 +202,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     script = parse_script(json.loads(Path(args.script).read_text()))
-    params, instance = load_instance(args)
+    params, instance = load_instance(args, field=5)
     poly, gamma = instance()
     sim = SimulatorSession(params, poly.eval, gamma, trial_rng(args.seed, 0))
     answers: list[int] = []
@@ -229,7 +232,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit_zk(args) -> int:
-    params, instance = load_instance(args)
+    params, instance = load_instance(args, field=3)
     # checked before an instance with (d + 1)^m coefficients is built
     coeff_dim = sum(math.prod(d + 1 for d in dv) for _, dv in params.tables)
     if coeff_dim > AUDIT_CAP:
@@ -353,18 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     # unset, so that load_instance can tell them given; it supplies defaults
     unset = dict.fromkeys(("m", "degree", "h_set"))
     p = sub.add_parser("simulate", help="replay a query script against the simulator")
-    common(p, *instance, field_default=5)
+    common(p, *instance)
     p.set_defaults(**unset)
     p.add_argument("--cnf")
-    p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("audit-zk", help="exact real-vs-simulated law comparison")
-    common(p, *instance, field_default=3)
+    common(p, *instance)
     p.set_defaults(**unset)
     p.add_argument("--cnf")
-    p.add_argument("--count", type=int, default=0)
     p.add_argument("--script", action="append", help="script file (repeatable)")
     p.add_argument("--battery", type=int, default=0, help="also run N generated scripts")
     p.add_argument(

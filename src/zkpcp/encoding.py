@@ -176,6 +176,8 @@ def enc_pcp_spec(
     a = hypercube(h, m)
     if d < 2 * (len(a.factors[0]) - 1):
         raise ValueError("need d >= 2(|H| - 1)")
+    if fld.p == 2:
+        raise ValueError("antisym locator requires odd characteristic")
 
     def message(q: Point) -> int:
         if q == ():

@@ -7,14 +7,12 @@ as the reference side of equivalence tests.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from functools import lru_cache
 
 from .domains import Point, ProductSet, rev_point
-from .linalg import AffineSystem, coset_system, spans_equal
+from .linalg import AffineSystem, spans_equal
 from .poly import monomial_exponents
 from .rm import CodeView, rm_generator
 
@@ -196,26 +194,3 @@ def attainable_answers_sigma(
     rows = sigma_code_rows(view, a, pts, zero_on_cube=True)
     return off, rows
 
-
-def _as_rows(rows, n: int) -> np.ndarray:
-    """Direction rows as a 2-D array with n columns. On zero coordinates
-    every row is empty and spans nothing, so none is kept."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows.reshape(-1, n) if n else rows.reshape(0, 0)
-
-
-def uniform_law_tv(
-    off_a, rows_a, off_b, rows_b, p: int
-) -> Fraction:
-    """Exact total-variation distance between uniform laws on two affine sets.
-
-    Each set is a coset system (``linalg.coset_system``); stacking the two
-    counts their intersection."""
-    ca = coset_system(off_a, _as_rows(rows_a, len(off_a)), p)
-    cb = coset_system(off_b, _as_rows(rows_b, len(off_b)), p)
-    both = np.vstack([ca.rows, cb.rows])
-    common = AffineSystem(both[:, :-1], both[:, -1], p).dim()
-    inter = 0 if common is None else p**common
-    size_a, size_b = p ** ca.dim(), p ** cb.dim()
-    tv = Fraction(size_a - inter, size_a) + Fraction(size_b - inter, size_b)
-    return (tv + inter * abs(Fraction(1, size_a) - Fraction(1, size_b))) / 2

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from zkpcp.audit import (
     LinearLaw,
     ScriptStep,
     audit_script,
+    branch_tv,
     enumerate_branches,
     parse_script,
     real_law,
@@ -24,8 +26,7 @@ import zkpcp.pcp as pcp_mod
 from zkpcp.domains import rev_point
 from zkpcp.encoding import constraint_rows_for
 from zkpcp.field import Field
-from zkpcp.linalg import AffineSystem, rref
-from zkpcp.oracles import uniform_law_tv
+from zkpcp.linalg import AffineSystem, coset_system, rref
 from zkpcp.pcp import SimulatorSession, SumcheckParams, ViewState, gather_state_rows
 from zkpcp.poly import (
     MultiPoly,
@@ -48,21 +49,133 @@ POLY3 = xy_poly(3)
 GAMMA3 = 1
 
 
-def test_uniform_law_tv_disjoint_and_nested():
+def test_branch_tv_disjoint_and_nested():
     p = 3
     off_a = np.array([0, 0])
     rows_a = np.array([[1, 0]])
     off_b = np.array([0, 1])
     rows_b = np.array([[1, 0]])
-    assert uniform_law_tv(off_a, rows_a, off_b, rows_b, p) == Fraction(1)
+    assert branch_tv((off_a, rows_a), (off_b, rows_b), [], p) == Fraction(1)
     rows_c = np.zeros((0, 2), dtype=np.int64)
     # point mass vs a 3-element line through it
-    tv = uniform_law_tv(off_a, rows_c, off_a, rows_a, p)
+    tv = branch_tv((off_a, rows_c), (off_a, rows_a), [], p)
     assert tv == Fraction(2, 3)
-    assert uniform_law_tv(off_a, rows_a, off_a, rows_a, p) == 0
+    assert branch_tv((off_a, rows_a), (off_a, rows_a), [], p) == 0
     # two laws on zero coordinates are the same point mass
     empty = np.zeros(0, dtype=np.int64)
-    assert uniform_law_tv(empty, np.zeros((0, 0)), empty, np.zeros((0, 0)), p) == 0
+    assert branch_tv((empty, np.zeros((0, 0))), (empty, np.zeros((0, 0))), [], p) == 0
+
+
+def enumerated_tv(params, f_poly, gamma, script, include_mask_row=True):
+    """The audit's total variation by brute force: every answer tuple is
+    weighed under the first branch whose conditions it meets."""
+    p = params.p
+    branches = enumerate_branches(script)
+    laws = symbolic_simulator_law(
+        params, f_poly.eval, gamma, [steps for _, steps in branches], include_mask_row
+    )
+    compared = [
+        (conds, law.marginal(cols), real_law(params, f_poly, steps))
+        for (conds, steps), (law, cols) in zip(branches, laws)
+    ]
+    cosets = [
+        (conds, coset_system(*sim, p), coset_system(*re, p)) for conds, sim, re in compared
+    ]
+    tv = Fraction(0)
+    # every branch resolves one query per script step
+    for combo in itertools.product(range(p), repeat=len(branches[0][1])):
+        ans = np.array(combo, dtype=np.int64)
+        for conds, sim, re in cosets:
+            if all((ans[j] == v) == truth for j, v, truth in conds):
+                p_sim = Fraction(1, p ** sim.dim()) if sim.contains(ans) else Fraction(0)
+                p_re = Fraction(1, p ** re.dim()) if re.contains(ans) else Fraction(0)
+                tv += abs(p_sim - p_re)
+                break
+    return tv / 2
+
+
+def random_poly(params, seed):
+    """A seeded instance polynomial of degree 3 in each variable, with its
+    true cube total."""
+    p, m = params.p, params.m
+    poly = MultiPoly(p, np.random.default_rng(seed).integers(0, p, (4,) * m))
+    return poly, sum(poly.eval(pt) for pt in params.cube.points()) % p
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (5, 3)])
+def test_audit_tv_equals_enumeration_on_the_battery(p, m):
+    """Under the negative control, the closed-form TV of every battery
+    script equals the sum over all p^k answer tuples."""
+    params = SumcheckParams(p, m, 3, (0, 1))
+    poly, gamma = random_poly(params, p * 10 + m)
+    flagged = 0
+    for script in script_battery(params, 60, m):
+        rep = audit_script(params, poly, gamma, script, include_mask_row=False)
+        assert rep.tv == enumerated_tv(params, poly, gamma, script, False), script
+        flagged += not rep.passed
+    assert flagged > 0
+
+
+def branch_heavy_scripts(params, count, seed):
+    """Seeded scripts of 3-6 steps, about half of them branches, some on
+    values outside the field that no answer equals."""
+    p, m = params.p, params.m
+    rng = random.Random(seed)
+
+    def query():
+        oracle = rng.choice(params.oracles)
+        arity = m if oracle != "sigma" else rng.randrange(m + 1)
+        return ScriptStep(oracle, tuple(rng.randrange(p) for _ in range(arity)))
+
+    scripts = []
+    for _ in range(count):
+        steps = [query()]
+        for _ in range(rng.randrange(2, 6)):
+            if rng.random() < 0.5:
+                at = rng.randrange(len(steps))
+                steps.append(BranchStep(at, rng.randrange(-1, p + 1), query(), query()))
+            else:
+                steps.append(query())
+        scripts.append(steps)
+    return scripts
+
+
+def test_audit_tv_equals_enumeration_on_branch_heavy_scripts():
+    """Branch conditions, equal and unequal, select the answers each
+    branch's share counts: the closed form equals the enumeration under the
+    negative control and under a wrong total, on scripts where many
+    branches differ."""
+    params = SumcheckParams(3, 2, 3, (0, 1))
+    poly, gamma = random_poly(params, 7)
+    flagged_multi = 0
+    for script in branch_heavy_scripts(params, 240, 5):
+        for g, mask in ((gamma, False), (gamma + 1, True)):
+            try:
+                rep = audit_script(params, poly, g, script, include_mask_row=mask)
+            except AuditError:
+                continue
+            assert rep.tv == enumerated_tv(params, poly, g, script, mask), script
+            flagged_multi += not rep.passed and rep.branches > 1
+    assert flagged_multi >= 30
+
+
+# a flagged view too long to enumerate: 5^16 answer tuples
+LONG_SCRIPT = [
+    ScriptStep(oracle, (a,) * 3) for a in (4, 3, 2) for oracle in ("sigma", "t0", "t1", "t2")
+] + [ScriptStep("q", pt) for pt in ((4, 4, 4), (3, 3, 3), (2, 2, 2), (4, 3, 2))]
+
+
+def test_long_flagged_script_audits_exactly_and_fast():
+    """A 16-query single-branch script under the negative control reports
+    its exact TV in well under a second."""
+    params = SumcheckParams(5, 3, 3, (0, 1))
+    poly, gamma = random_poly(params, 0)
+    start = time.perf_counter()
+    rep = audit_script(params, poly, gamma, LONG_SCRIPT, include_mask_row=False)
+    assert time.perf_counter() - start < 1
+    assert rep.branches == 1 and not rep.support_equal
+    assert rep.tv == Fraction(124, 125)
+    assert audit_script(params, poly, gamma, LONG_SCRIPT).tv == 0
 
 
 def test_parse_script_and_branches():

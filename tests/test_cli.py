@@ -418,6 +418,8 @@ UNREAD = {
     "detect-h-set": ("detect", "--points", "[[0,2]]", "--h-set", "0,1"),
     "detect-seed": ("detect", "--points", "[[0,2]]", "--seed", "1"),
     "simulate-out": ("simulate", "--field", "5", "--m", "2", "--out", "/dev/null"),
+    "simulate-count": ("simulate", "--count", "3"),
+    "audit-zk-count": ("audit-zk", "--count", "3"),
 }
 
 
@@ -432,7 +434,7 @@ def test_commands_refuse_options_they_do_not_read(case, cnf_file, script_file, t
     elif command == "verify":
         run_cli("prove", "--cnf", cnf_file, "--count", "3", "--out", str(out))
         rest += ["--cnf", cnf_file, "--count", "3", "--proof", str(out)]
-    elif command == "simulate":
+    else:
         rest += ["--script", script_file]
     code, recs = run_cli(command, *rest)
     assert code == 2 and recs == []
@@ -516,7 +518,7 @@ def test_a_formula_with_the_wrong_clause_count_is_refused(tmp_path):
 def test_cnf_commands_refuse_the_options_the_formula_fixes(command, given, cnf_file, script_file):
     """With --cnf the formula fixes m, d and H: --m, --degree and --h-set are
     refused with an error record and exit 2, not parsed and dropped."""
-    args = [command, "--cnf", cnf_file, "--count", "3", "--field", "61", "--script", script_file]
+    args = [command, "--cnf", cnf_file, "--field", "61", "--script", script_file]
     code, recs = run_cli(*args, *given)
     assert code == 2
     assert [r["record"] for r in recs] == ["error"]
@@ -525,6 +527,41 @@ def test_cnf_commands_refuse_the_options_the_formula_fixes(command, given, cnf_f
     assert code == 0
     if command == "simulate":
         assert (recs[-1]["m"], recs[-1]["d"]) == (2, 3)
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit-zk"])
+def test_cnf_commands_claim_the_model_count_in_the_formula_prime(command, cnf_file, script_file):
+    """With --cnf the claimed total is the formula's model count, and the
+    field defaults to the prime prove and verify choose (61 for x1 or x2):
+    the audit of a true statement passes."""
+    code, recs = run_cli(command, "--cnf", cnf_file, "--script", script_file)
+    assert code == 0
+    if command == "simulate":
+        assert (recs[-1]["p"], recs[-1]["queries"]) == (61, 3)
+    else:
+        assert recs[-1]["failures"] == 0
+    with open(script_file, "w") as fh:
+        json.dump({"steps": [{"oracle": "sigma", "point": []}]}, fh)
+    code, recs = run_cli(command, "--cnf", cnf_file, "--script", script_file)
+    assert code == 0
+    if command == "simulate":
+        assert recs[0]["answer"] == 3
+    else:
+        assert recs[0]["tv"] == "0" and recs[-1]["failures"] == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit-zk"])
+def test_simulator_commands_refuse_characteristic_two(command, tmp_path):
+    """The proof word's antisymmetric mask needs odd characteristic: p=2 is
+    refused with one error record and exit 2, before any view is answered."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(
+        {"steps": [{"oracle": "q", "point": [1, 1]}, {"oracle": "sigma", "point": []}]}
+    ))
+    code, recs = run_cli(command, "--field", "2", "--script", str(path))
+    assert code == 2
+    assert [r["record"] for r in recs] == ["error"]
+    assert "odd characteristic" in recs[0]["message"]
 
 
 def test_audit_zk_checks_the_dimension_before_building_an_instance(monkeypatch, capsys):

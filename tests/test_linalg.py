@@ -18,7 +18,8 @@ from zkpcp.linalg import (
     sample_affine,
     spans_equal,
 )
-from zkpcp.oracles import affine_sets_equal, uniform_law_tv
+from zkpcp.audit import branch_tv
+from zkpcp.oracles import affine_sets_equal
 
 import random
 
@@ -382,7 +383,7 @@ def test_affine_sets_agree_with_enumeration(case):
         abs(Fraction(tuple(x) in set_a, len(set_a)) - Fraction(tuple(x) in set_b, len(set_b)))
         for x in space
     )
-    assert uniform_law_tv(off_a, rows_a, off_b, rows_b, p) == tv / 2
+    assert branch_tv((off_a, rows_a), (off_b, rows_b), [], p) == tv / 2
     coset = coset_system(off_a, rows_a, p)
     assert {tuple(x) for x in space if coset.contains(x)} == set_a
     assert p ** coset.dim() == len(set_a)
