@@ -22,10 +22,6 @@ def require_reversal_symmetric(a: ProductSet):
         raise ValueError("product set must satisfy A_i = A_{m-i+1}")
 
 
-def cube_size(a: ProductSet, pt: Point) -> int:
-    return a.suffix_size(len(pt))
-
-
 def rev_cube_intersection_size(x: Point, y: Point, a: ProductSet) -> int:
     """|cube(x) intersect reverse(cube(y))|, exactly.
 
@@ -57,7 +53,7 @@ def _rev_overlap(x: Point, y: Point, a: ProductSet) -> int:
 
 def union_size(pts: Iterable[Point], a: ProductSet) -> int:
     """Total size of the disjoint cubes of a prefix-free family."""
-    return sum(cube_size(a, pt) for pt in pts)
+    return sum(a.suffix_size(len(pt)) for pt in pts)
 
 
 def is_prefix(x: Point, y: Point) -> bool:
@@ -182,7 +178,7 @@ CUBE_POINTS_CAP = 1 << 20
 def enumerate_cube_points(prefixes: Iterable[Point], a: ProductSet) -> list[Point]:
     out: list[Point] = []
     for pt in prefixes:
-        if len(out) + cube_size(a, pt) > CUBE_POINTS_CAP:
+        if len(out) + a.suffix_size(len(pt)) > CUBE_POINTS_CAP:
             raise ValueError(f"cube enumeration exceeds {CUBE_POINTS_CAP} points")
         out.extend(a.cube_of(pt))
     return out
@@ -246,5 +242,5 @@ def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> LocatorOu
         r=tuple(r_list),
         queries=tuple(queries),
         z=project_constraints(y, keep, p),
-        meta={"prefix_free": fam, "families": families},
+        meta={"prefix_free": fam},
     )

@@ -89,37 +89,34 @@ def symbolic_simulator_law(
 
     ``branches`` holds each branch's resolved steps. Returns, per branch, the
     accumulated law over the view's coordinates plus, per step, the column
-    whose value the simulator would have returned. Branches that begin with
-    the same steps share that prefix: it runs once, and each step after it
-    continues on copies of its parent's view and law.
+    whose value the simulator would have returned. Branches that query the
+    same coordinates share one run; every other branch continues from copies
+    of the view and law after the prefix it shares with the branch run before
+    it. So on branches listed depth-first, as ``enumerate_branches`` lists
+    them, every shared prefix runs once.
     """
-    results: list = [None] * len(branches)
-    root = (
-        ViewState(params, f_eval, gamma, include_mask_row),
-        LinearLaw(params.p),
-        [],
-    )
-    # (state after ``depth`` shared steps, depth, the branches sharing them)
-    pending = [(root, 0, range(len(branches)))]
-    while pending:
-        state, depth, members = pending.pop()
-        parts: dict = {}
-        for j in members:
-            if depth == len(branches[j]):
-                results[j] = state
-            else:
-                parts.setdefault(params.coord(*branches[j][depth]), []).append(j)
-        nxt = []
-        for c, js in parts.items():
-            view, law, cols = state[0].fork(), state[1].fork(), list(state[2])
+    # states[k]: (view, law, answered columns) after prev's first k steps
+    states = [(ViewState(params, f_eval, gamma, include_mask_row), LinearLaw(params.p), [])]
+    prev: tuple = ()
+    seqs = [tuple(params.coord(*step) for step in steps) for steps in branches]
+    # (law, answered columns) per distinct coordinate sequence: a branch
+    # whose arms name one coordinate repeats every branch after it
+    runs = dict.fromkeys(seqs)
+    for coords in runs:
+        k = 0
+        while k < min(len(coords), len(prev)) and coords[k] == prev[k]:
+            k += 1
+        del states[k + 1 :]
+        for c in coords[k:]:
+            view, law, cols = states[-1]
+            view, law = view.fork(), law.fork()
             n_new = view.admit(c)
             if n_new:
                 a, b, _ = gather_state_rows(view)
                 law.add_step(n_new, a, b)
-            cols.append(view.index[c])
-            nxt.append(((view, law, cols), depth + 1, js))
-        pending.extend(reversed(nxt))
-    return [(law, cols) for _, law, cols in results]
+            states.append((view, law, cols + [view.index[c]]))
+        runs[coords], prev = states[-1][1:], coords
+    return [runs[coords] for coords in seqs]
 
 
 def real_law(
@@ -241,25 +238,22 @@ def enumerate_branches(script: Script):
     A condition is (slot, value, truth): answer at slot == value iff truth.
     """
     paths = [([], [])]
-    for step in script:
+    for i, step in enumerate(script):
+        # each arm: the conditions it adds and its query
         if isinstance(step, ScriptStep):
-            paths = [
-                (conds, resolved + [(step.oracle, step.point)])
-                for conds, resolved in paths
-            ]
+            arms = [([], step)]
+        elif step.step >= i:
+            raise ValueError("branch references a later step")
         else:
-            nxt = []
-            for conds, resolved in paths:
-                if step.step >= len(resolved):
-                    raise ValueError("branch references a later step")
-                for truth, arm in ((True, step.then), (False, step.else_)):
-                    nxt.append(
-                        (
-                            conds + [(step.step, step.equals, truth)],
-                            resolved + [(arm.oracle, arm.point)],
-                        )
-                    )
-            paths = nxt
+            arms = [
+                ([(step.step, step.equals, truth)], arm)
+                for truth, arm in ((True, step.then), (False, step.else_))
+            ]
+        paths = [
+            (conds + new, resolved + [(arm.oracle, arm.point)])
+            for conds, resolved in paths
+            for new, arm in arms
+        ]
     return paths
 
 

@@ -15,12 +15,8 @@ Point = tuple[int, ...]
 BOT: Point = ()
 
 
-def point_key(pt: Point) -> tuple[int, Point]:
-    return (len(pt), pt)
-
-
 def sort_points(pts: Iterable[Point]) -> list[Point]:
-    return sorted(pts, key=point_key)
+    return sorted(pts, key=lambda pt: (len(pt), pt))
 
 
 def dedup_points(pts: Iterable[Point]) -> list[Point]:

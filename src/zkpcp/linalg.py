@@ -8,8 +8,8 @@ what makes kernel bases, interpolating sets and projections reproducible.
 Arithmetic is plain int64 with a reduction after every product, so a product
 of two entries stays below p**2 and an inner product over n entries below
 n * p**2. That is exact for every modulus up to ``field.MAX_MODULUS`` (2**17),
-which ``Field`` and ``SumcheckParams`` enforce; larger moduli overflow
-silently and are refused there.
+which ``Field`` enforces; larger moduli overflow silently and are refused
+there.
 """
 from __future__ import annotations
 
@@ -116,12 +116,9 @@ def project_constraints(rows, keep, p: int) -> np.ndarray:
 
 
 def image_dual_basis(m, p: int) -> np.ndarray:
-    """Basis (as rows) of the dual of the column span of M."""
-    m = as_matrix(m, p)
-    if m.shape[1] == 0:
-        # the domain is trivial, so the image is {0} and the dual is everything
-        return np.eye(m.shape[0], dtype=np.int64)
-    return kernel_basis(m.T, p)
+    """Basis (as rows) of the dual of the column span of M: the identity
+    when M has no columns."""
+    return kernel_basis(np.asarray(m, dtype=np.int64).T, p)
 
 
 class AffineSystem:

@@ -23,9 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import Point, hypercube, require_in_field, rev_point
+from .domains import Point, hypercube, require_in_field, rev_point, sort_points
 from .encoding import EncodingSpec, constraint_rows_for, enc_pcp_spec
-from .field import MAX_MODULUS, Field, is_prime, next_prime
+from .field import Field, next_prime
 from .linalg import sample_affine
 from .poly import (
     MultiPoly,
@@ -154,10 +154,7 @@ class SumcheckParams:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError(f"arity must be nonnegative, got m={self.m}")
-        if self.p > MAX_MODULUS:
-            raise ValueError(f"modulus exceeds the bound {MAX_MODULUS}")
-        if not is_prime(self.p):
-            raise ValueError("modulus must be prime")
+        self.fld  # built here so that Field checks the modulus
         h = tuple(sorted(set(self.h)))
         object.__setattr__(self, "h", h)
         if not h or any(not 0 <= x < self.p for x in h):
@@ -165,11 +162,11 @@ class SumcheckParams:
         if self.d < len(h) + 1:
             raise ValueError("need d >= |H| + 1")
 
-    @property
+    @cached_property
     def fld(self) -> Field:
         return Field(self.p)
 
-    @property
+    @cached_property
     def cube(self):
         return hypercube(self.h, self.m)
 
@@ -804,7 +801,7 @@ def gather_state_rows(view: ViewState):
     Such a step reads no message position. Returns (A, b, message positions
     read) for the system A x = b.
     """
-    sig_pts = sorted(view.points("sigma"), key=lambda q: (len(q), q))
+    sig_pts = sort_points(view.points("sigma"))
     a_sig, b_sig, reads = np.zeros((0, len(sig_pts)), np.int64), np.zeros(0, np.int64), ()
     if not view.include_mask_row or any(len(q) < view.params.m for q in sig_pts):
         a_sig, b_sig, reads = constraint_rows_for(view.spec, sig_pts)

@@ -95,9 +95,7 @@ def cd_rm(view: CodeView, pts: Sequence[Point]) -> ConstraintBasis:
         len(pt) == view.m and all(0 <= c < view.p for c in pt) for pt in dom
     ):
         return ConstraintBasis(dom, np.zeros((0, len(dom)), dtype=np.int64))
-    g = rm_generator(view, dom)
-    z = kernel_basis(g.T, view.p)
-    return ConstraintBasis(dom, z)
+    return ConstraintBasis(dom, image_dual_basis(rm_generator(view, dom), view.p))
 
 
 def cd_zero_rm(view: CodeView, s: ProductSet, pts: Sequence[Point]) -> ConstraintBasis:
@@ -149,15 +147,11 @@ def code_restriction_basis(
 ) -> np.ndarray:
     """Rows span code|_pts, or with ``zero_on`` the subcode vanishing on
     that product set; brute-force companion of the detectors."""
-    dom = tuple(dedup_points(pts))
-    g = rm_generator(view, dom)
+    # the generator's columns, one per monomial, as rows
+    rows = rm_generator(view, tuple(dedup_points(pts))).T
     if zero_on is not None:
         # restrict the coefficient space to the kernel of cube evaluation
-        coeff_basis = kernel_basis(rm_generator(view, list(zero_on.points())), view.p)
-        g = (coeff_basis @ g.T % view.p).T
-    return _col_span_rows(g, view.p)
-
-
-def _col_span_rows(g: np.ndarray, p: int) -> np.ndarray:
-    r, piv = rref(g.T, p)
+        ker = kernel_basis(rm_generator(view, list(zero_on.points())), view.p)
+        rows = ker @ rows % view.p
+    r, piv = rref(rows, view.p)
     return r[: len(piv)]

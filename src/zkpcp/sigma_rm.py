@@ -99,5 +99,5 @@ def sigma_rm_locate(
         r=tuple(rhat),
         queries=tuple(queries),
         z=z[:, list(range(nr)) + [pos[c] for c in qcol]],
-        meta={"per_arity": per_arity, "ihat": ihat},
+        meta={"ihat": ihat},
     )

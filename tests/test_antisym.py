@@ -8,7 +8,6 @@ import pytest
 from zkpcp.antisym import (
     antisym_locate,
     complement_prefixes,
-    cube_size,
     enumerate_cube_points,
     is_prefix_free,
     prefix_free,
@@ -103,7 +102,7 @@ def test_prefix_free_cover_and_size_bound():
                     cover |= set(a.cube_of(piece))
                 assert cover == set(a.cube_of(pt))
                 # pieces are pairwise disjoint
-                assert sum(cube_size(a, q) for q in fam.lam[pt]) == len(cover)
+                assert sum(a.suffix_size(len(q)) for q in fam.lam[pt]) == len(cover)
 
 
 def random_prefix_sets(rng, count):

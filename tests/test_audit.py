@@ -478,17 +478,45 @@ def test_real_law_equals_per_entry_reference(p, m):
         real_law(params, poly, [(f"t{m}", (0,) * m)])
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 3)])
-def test_shared_prefix_law_equals_independent_runs(p, m):
+@pytest.mark.parametrize(
+    "p,m,count,seed",
+    [
+        pytest.param(3, 2, 40, 3, id="3-2"),
+        pytest.param(5, 3, 40, 3, id="5-3"),
+        # 466 branches; script 264 branches on step 0 to one query either
+        # way, so each branch after it repeats another
+        pytest.param(5, 3, 300, 5, id="5-3-battery300"),
+    ],
+)
+def test_shared_prefix_law_equals_independent_runs(p, m, count, seed, monkeypatch):
+    """Every branch's law is its lone run's, and the shared walk gathers
+    rows once per distinct branch prefix whose last step admits
+    coordinates."""
+    calls = []
+    gather = audit_mod.gather_state_rows
+    monkeypatch.setattr(
+        audit_mod, "gather_state_rows", lambda view: calls.append(view) or gather(view)
+    )
     params = SumcheckParams(p, m, 3, (0, 1))
     rng = np.random.default_rng(p)
     poly = MultiPoly(p, rng.integers(0, p, (4,) * m))
     gamma = sum(poly.eval(pt) for pt in params.cube.points()) % p
-    scripts = [s for s in script_battery(params, 40, 3) if len(enumerate_branches(s)) > 1]
+    scripts = [s for s in script_battery(params, count, seed) if len(enumerate_branches(s)) > 1]
     assert len(scripts) >= 5
     for script in scripts:
         branches = [steps for _, steps in enumerate_branches(script)]
+        calls.clear()
         shared = symbolic_simulator_law(params, poly.eval, gamma, branches)
+        prefixes = {
+            tuple(params.coord(*step) for step in steps[:k])
+            for steps in branches
+            for k in range(1, len(steps) + 1)
+        }
+        admitting = 0
+        for prefix in prefixes:
+            view = ViewState(params, poly.eval, gamma)
+            admitting += [view.admit(c) for c in prefix][-1] > 0
+        assert len(calls) == admitting
         assert len(shared) == len(branches)
         for steps, (law, cols) in zip(branches, shared):
             [(alone, alone_cols)] = symbolic_simulator_law(params, poly.eval, gamma, [steps])

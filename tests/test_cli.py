@@ -622,6 +622,8 @@ def pin(name, digest, *argv):
     [
         pin("f.proof", "e34131ecbffe828bff5431d8a32ecefea0435615801c49750f57db6921d08926",
             "prove", "--cnf", "F_CNF", "--count", "2", "--out", "OUT"),
+        pin("z.proof", "111ef5075c9920d0dd2f1c86ea4f33b8a390945a890e66fb248f9b0b79578a78",
+            "prove", "--cnf", "Z_CNF", "--count", "1", "--out", "OUT"),
         pin("simulate", "2f867c94a1de0238b782fe5ba2c1bce5b63afab5aad067c0786ff32029fdeeec",
             "simulate", "--script", "SCRIPT", "--field", "5", "--m", "2", "--seed", "4"),
         pin("negative-control",
@@ -650,8 +652,10 @@ def test_outputs_pinned_in_ci(argv, digest, script_file, tmp_path):
     file that prove writes, else the command's record stream."""
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 3\n1 -2 0\n2 3 0\n-1 -3 0\n")
+    zero = tmp_path / "z.cnf"
+    zero.write_text("p cnf 0 0\n")
     out = tmp_path / "f.proof"
-    given = {"F_CNF": str(cnf), "OUT": str(out), "SCRIPT": script_file}
+    given = {"F_CNF": str(cnf), "Z_CNF": str(zero), "OUT": str(out), "SCRIPT": script_file}
     proc = subprocess.run(
         [sys.executable, "-m", "zkpcp.cli", *(given.get(a, a) for a in argv)],
         capture_output=True,

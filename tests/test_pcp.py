@@ -7,12 +7,15 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zkpcp import pcp
 from zkpcp.audit import AuditError, ScriptStep, audit_script, real_law
@@ -244,6 +247,38 @@ def test_sharp_sat_refuses_a_count_outside_the_cube():
         assert pcp_for_sharp_sat(cnf, count, p=97).claimed_count == count
 
 
+@pytest.mark.parametrize("text, count", [("p cnf 0 0\n", 1), ("p cnf 0 1\n0\n", 0)])
+def test_a_zero_variable_formula_proves_and_verifies_in_process(text, count):
+    """With no variable the tables are single entries (the grid of F^0 is
+    one point) and the verifier reads Σ(()) and Q at () twice; the empty
+    clause leaves no model."""
+    bundle = pcp_for_sharp_sat(parse_dimacs(text), count)
+    assert (bundle.params.m, bundle.params.p, bundle.gamma) == (0, 5, count)
+    proof = bundle.prove(random.Random(0))
+    assert len(serialize_proof(proof)) == 108
+    for seed in range(3):
+        res = bundle.verify(proof, random.Random(seed))
+        assert res.accepted and [o for o, _, _ in res.queries] == ["sigma", "q", "q"]
+
+
+def test_prove_refuses_tables_past_the_cap_before_sampling():
+    """p = 4099 is the least prime with p**2 > TABLE_CAP: prove refuses m = 2
+    before it draws a mask coefficient or allocates a table."""
+    params = SumcheckParams(4099, 2, 3, (0, 1))
+    assert params.p**2 > pcp.TABLE_CAP >= 4093**2
+    rng = random.Random(0)
+    state = rng.getstate()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size cap"):
+            prove(xy_poly(4099), params, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rng.getstate() == state
+    assert peak < 1 << 20
+
+
 def test_shifted_prover_rejected_often():
     cnf = CnfInstance(2, ((1, 2),))
     bundle = pcp_for_sharp_sat(cnf, 2)  # wrong claim: truth is 3
@@ -271,6 +306,26 @@ def test_random_q_corruption_caught_by_line_test():
         res = verify(poly.eval, params, proof, random.Random(9000 + seed))
         caught += not res.accepted
     assert caught >= trials // 2
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_raised_sigma_entry_fails_the_sum_check_of_its_round(m):
+    """Σ at path[:i-1] + (h0,) is read first in round i, so raising it by 1
+    fails exactly that round; the untouched proof accepts on the same coins."""
+    p = 11
+    params = SumcheckParams(p, m, 3, (0, 1))
+    poly = MultiPoly(p, np.random.default_rng(m).integers(0, p, (4,) * m))
+    gamma = sum(poly.eval(pt) for pt in params.cube.points()) % p
+    proof = prove(poly, params, random.Random(m))
+    path = tuple(random.Random(100 + m).randrange(p) for _ in range(m))
+    assert verify(poly.eval, params, proof, random.Random(5), gamma, path).accepted
+    for i in range(1, m + 1):
+        sigma = [x.copy() for x in proof.sigma]
+        pt = path[: i - 1] + (params.h[0],)
+        sigma[i][pt] = (sigma[i][pt] + 1) % p
+        forged = proof_from_tables(params, sigma, proof.q, proof.t)
+        res = verify(poly.eval, params, forged, random.Random(5), gamma, path)
+        assert res.reason == f"sum check failed at round {i}"
 
 
 def test_serialization_roundtrip_and_errors():
@@ -362,6 +417,29 @@ def test_deserialize_fuzz_roundtrips_or_raises_value_error():
         assert serialize_proof(proof) == bytes(cut)
         outcomes["parsed"] += 1
     assert outcomes["refused"] > 0 and outcomes["parsed"] > 0
+
+
+# any byte, or the low byte of one of the 16 table words after the 92-byte
+# header, set to any value or to a field element
+@settings(max_examples=300)
+@given(
+    pos=st.one_of(st.integers(0, 219), st.integers(0, 15).map(lambda k: 92 + 8 * k)),
+    value=st.one_of(st.integers(0, 4), st.integers(0, 255)),
+)
+def test_a_changed_byte_is_refused_or_decoded_to_the_changed_bytes(pos, value):
+    """A single-byte change to a 220-byte proof (p = 5, m = 1) is either
+    refused with ValueError or decoded so that it serializes back to itself."""
+    params = SumcheckParams(5, 1, 3, (0, 1))
+    poly = MultiPoly(5, np.array([1, 2], dtype=np.int64))
+    blob = bytearray(serialize_proof(prove(poly, params, random.Random(0))))
+    assert len(blob) == 220 and len(pcp._wire_lead(params)) == 92
+    assume(blob[pos] != value)
+    blob[pos] = value
+    try:
+        proof = deserialize_proof(bytes(blob))
+    except ValueError:
+        return
+    assert bytes(serialize_proof(proof)) == bytes(blob)
 
 
 # sha256 of serialize_proof(prove(...)), recorded before the prover built
@@ -1103,6 +1181,47 @@ def test_simulator_refuses_queries_no_proof_answers():
             real_law(params, xy_poly(5), [(oracle, pt)])
     assert sim.transcript == [] and sim.values == []
     assert sim.query("sigma", (4,)) == sim.transcript[0][2]
+
+
+VALID_QUERY = st.one_of(
+    st.tuples(st.just("sigma"), st.lists(st.integers(0, 4), max_size=2).map(tuple)),
+    st.tuples(
+        st.sampled_from(["q", "t0", "t1"]), st.tuples(st.integers(0, 4), st.integers(0, 4))
+    ),
+)
+BAD_QUERY = st.one_of(
+    st.tuples(st.sampled_from(["t2", "t9", "r", "Q", ""]), st.just((0, 1))),
+    st.tuples(st.just("sigma"), st.lists(st.integers(0, 4), min_size=3, max_size=4).map(tuple)),
+    st.tuples(st.sampled_from(["q", "t0", "t1"]),
+              st.lists(st.integers(0, 4), max_size=3).filter(lambda pt: len(pt) != 2).map(tuple)),
+    st.tuples(st.sampled_from(["sigma", "q", "t1"]),
+              st.tuples(st.integers(0, 4), st.sampled_from([-7, -1, 5, 9]))),
+)
+
+
+@settings(max_examples=40)
+@given(prefix=st.lists(VALID_QUERY, max_size=3), bad=BAD_QUERY, last=VALID_QUERY,
+       seed=st.integers(0, 2**16))
+def test_a_refused_query_leaves_the_session_as_it_was(prefix, bad, last, seed):
+    """An unknown oracle, a wrong arity or a coordinate outside [0, p) is
+    refused with ValueError and changes neither the answers, the transcript
+    nor the view, so the next query answers as in a session that never saw
+    the refused one."""
+    params = SumcheckParams(5, 2, 3, (0, 1))
+    runs = []
+    for queries in ([*prefix, bad, last], [*prefix, last]):
+        sim = SimulatorSession(params, xy_poly(5).eval, 1, random.Random(seed))
+        for oracle, pt in queries[:-1]:
+            if (oracle, pt) != bad:
+                sim.query(oracle, pt)
+                continue
+            before = (list(sim.values), list(sim.transcript), list(sim.view.coords))
+            with pytest.raises(ValueError):
+                sim.query(oracle, pt)
+            assert (sim.values, sim.transcript, sim.view.coords) == before
+        sim.query(*queries[-1])
+        runs.append((sim.values, sim.transcript))
+    assert runs[0] == runs[1]
 
 
 def test_failed_extend_poisons_the_session(monkeypatch):
