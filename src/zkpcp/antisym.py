@@ -104,15 +104,9 @@ def prefix_free(pts: Sequence[Point], a: ProductSet) -> PrefixFreeFamily:
     )
 
 
-@dataclass(frozen=True)
-class SymFamily:
-    """Disjoint minimal symmetric subsets of a prefix-free family."""
-
-    sets: tuple[tuple[Point, ...], ...]
-
-
-def sym_sets(g: Sequence[Point], a: ProductSet) -> SymFamily:
-    """Connected components of the reverse-overlap graph whose covered cube
+def sym_sets(g: Sequence[Point], a: ProductSet) -> tuple[tuple[Point, ...], ...]:
+    """The disjoint minimal symmetric subsets of a prefix-free family: the
+    connected components of the reverse-overlap graph whose covered cube
     equals its own reversal image; sizes checked by exact arithmetic."""
     require_reversal_symmetric(a)
     g = sort_points(dedup_points(g))
@@ -148,7 +142,7 @@ def sym_sets(g: Sequence[Point], a: ProductSet) -> SymFamily:
         overlap = sum(_rev_overlap(x, y, a) for x in members for y in members)
         if overlap == union_size(members, a):
             out.append(tuple(members))
-    return SymFamily(tuple(out))
+    return tuple(out)
 
 
 def complement_prefixes(h: Sequence[Point], a: ProductSet) -> list[Point]:
@@ -201,7 +195,7 @@ def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> LocatorOu
     families = sym_sets(fam.g, a)
     half = a.size / 2
     small, large = [], []
-    for h in families.sets:
+    for h in families:
         (small if union_size(h, a) <= half else large).append(h)
 
     r_list: list[Point] = [BOT]
@@ -219,10 +213,10 @@ def antisym_locate(fld: Field, a: ProductSet, pts: Sequence[Point]) -> LocatorOu
     nr, ng = len(r_list), len(fam.g)
     mcol = {q: j for j, q in enumerate(r_list)}
     gcol = {q: nr + j for j, q in enumerate(fam.g)}
-    nh = len(families.sets)
+    nh = len(families)
     y = np.zeros((nh + len(queries), nr + ng + len(queries)), dtype=np.int64)
     small_set = set(small)
-    for row, h in zip(y, families.sets):
+    for row, h in zip(y, families):
         if h in small_set:
             for q in covers[h]:
                 row[mcol[q]] += 1

@@ -345,18 +345,21 @@ def audit_script(
 
     p = params.p
     branches = enumerate_branches(script)
-    laws = symbolic_simulator_law(
-        params, f_poly.eval, gamma, [steps for _, steps in branches], include_mask_row
+    seqs = [tuple(steps) for _, steps in branches]
+    laws = dict(
+        zip(seqs, symbolic_simulator_law(params, f_poly.eval, gamma, seqs, include_mask_row))
     )
-    # per branch: its conditions, then the simulated and the real law of its
+    # per distinct query sequence: the simulated and the real law of its
     # answers, each as (offset, direction rows)
-    compared = [
-        (conds, law.marginal(cols), real_law(params, f_poly, steps))
-        for (conds, steps), (law, cols) in zip(branches, laws)
-    ]
-    if all(affine_sets_equal(*sim, *re, p) for _, sim, re in compared):
+    compared = {
+        seq: (law.marginal(cols), real_law(params, f_poly, seq))
+        for seq, (law, cols) in laws.items()
+    }
+    if all(affine_sets_equal(*sim, *re, p) for sim, re in compared.values()):
         return AuditReport(Fraction(0), True, len(branches))
-    tv = sum(branch_tv(sim, re, conds, p) for conds, sim, re in compared)
+    tv = sum(
+        branch_tv(*compared[seq], conds, p) for (conds, _), seq in zip(branches, seqs)
+    )
     return AuditReport(tv, False, len(branches))
 
 

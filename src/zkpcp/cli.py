@@ -31,13 +31,14 @@ from .pcp import (
     serialize_proof,
     prove_shifted,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, subcube_sum
 from .rm import CodeView, cd_rm
 from .rm_locator import rm_locate
 from .sigma_rm import sigma_rm_locate
 from .antisym import antisym_locate
 
-# the largest coefficient dimension of the prover's masks that audit-zk audits
+# the largest coefficient dimension of the prover's masks that simulate and
+# audit-zk take: the simulator's detectors have one column per coefficient
 AUDIT_CAP = 1 << 24
 
 
@@ -110,37 +111,38 @@ def load_bundle(args, count=None):
 
 
 def load_instance(args, field: int):
-    """The parameters simulate and audit-zk run on, and a call returning the
-    instance polynomial and its claimed cube total: the --cnf formula's, with
-    its model count as the total, or a seeded random one from --field (by
-    default ``field``), --m, --degree and --h-set (by default m=2, d=3,
-    H={0,1}). The formula fixes m, d and H, so those three options are
-    refused next to --cnf. The call lets a caller check the parameters before
-    a random instance is built."""
+    """(params, instance polynomial, claimed cube total) for simulate and
+    audit-zk: the --cnf formula's, with its model count as the total, or a
+    seeded random one from --field (by default ``field``), --m, --degree and
+    --h-set (by default m=2, d=3, H={0,1}). The formula fixes m, d and H, so
+    those three options are refused next to --cnf. Masks of more than
+    AUDIT_CAP coefficients are refused before a random instance is built."""
     given = {k: getattr(args, k) for k in ("m", "degree", "h_set") if getattr(args, k) is not None}
+    bundle = None
     if args.cnf:
         if given:
             names = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ValueError(f"{names} cannot be given with --cnf: the formula fixes m, d and H")
         bundle = load_bundle(args)
-        return bundle.params, lambda: (bundle.poly, bundle.gamma)
-    opts = {"m": 2, "degree": "3", "h_set": "0,1", **given}
-    m = opts["m"]
-    p = field if args.field is None else args.field
-    params = SumcheckParams(p, m, parse_degree(opts["degree"], m), parse_h(opts["h_set"]))
-    return params, lambda: random_instance(params, args.seed)
+        params = bundle.params
+    else:
+        opts = {"m": 2, "degree": "3", "h_set": "0,1", **given}
+        m = opts["m"]
+        p = field if args.field is None else args.field
+        params = SumcheckParams(p, m, parse_degree(opts["degree"], m), parse_h(opts["h_set"]))
+    coeff_dim = sum(math.prod(d + 1 for d in dv) for _, dv in params.tables)
+    if coeff_dim > AUDIT_CAP:
+        raise ValueError(f"coefficient dimension {coeff_dim} exceeds cap {AUDIT_CAP}")
+    if bundle is not None:
+        return params, bundle.poly, bundle.gamma
+    return (params, *random_instance(params, args.seed))
 
 
 def random_instance(params: SumcheckParams, seed: int) -> tuple[MultiPoly, int]:
     """Seeded random degree-d polynomial plus its true cube total."""
-    fld = params.fld
     rng = random.Random(f"instance:{seed}")
-    coeffs = fld.sample_array(rng, (params.d + 1,) * params.m)
-    poly = MultiPoly(params.p, coeffs)
-    gamma = 0
-    for pt in params.cube.points():
-        gamma = (gamma + poly.eval(pt)) % params.p
-    return poly, gamma
+    poly = MultiPoly(params.p, params.fld.sample_array(rng, (params.d + 1,) * params.m))
+    return poly, subcube_sum(poly, params.cube, ())
 
 
 def cmd_prove(args) -> int:
@@ -202,8 +204,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     script = parse_script(json.loads(Path(args.script).read_text()))
-    params, instance = load_instance(args, field=5)
-    poly, gamma = instance()
+    params, poly, gamma = load_instance(args, field=5)
     sim = SimulatorSession(params, poly.eval, gamma, trial_rng(args.seed, 0))
     answers: list[int] = []
     for step in script:
@@ -232,12 +233,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit_zk(args) -> int:
-    params, instance = load_instance(args, field=3)
-    # checked before an instance with (d + 1)^m coefficients is built
-    coeff_dim = sum(math.prod(d + 1 for d in dv) for _, dv in params.tables)
-    if coeff_dim > AUDIT_CAP:
-        raise ValueError(f"coefficient dimension {coeff_dim} exceeds cap {AUDIT_CAP}")
-    poly, gamma = instance()
+    params, poly, gamma = load_instance(args, field=3)
     scripts = []
     if args.script:
         for path in args.script:
@@ -280,14 +276,11 @@ def cmd_locate(args) -> int:
     h = require_in_field(parse_h(args.h_set), fld.p)
     dv = parse_degrees(args.degree, args.m)
     a = hypercube(h, args.m)
-    if args.code == "rm":
-        view = CodeView(fld, args.m, dv)
-        out = rm_locate(view, a, pts)
-    elif args.code == "sigma-rm":
-        view = CodeView(fld, args.m, dv)
-        out = sigma_rm_locate(view, a, pts)
-    else:
+    if args.code == "antisym":
         out = antisym_locate(fld, a, pts)
+    else:
+        locate = rm_locate if args.code == "rm" else sigma_rm_locate
+        out = locate(CodeView(fld, args.m, dv), a, pts)
     emit(
         {
             "record": "locate",

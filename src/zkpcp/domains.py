@@ -21,14 +21,7 @@ def sort_points(pts: Iterable[Point]) -> list[Point]:
 
 def dedup_points(pts: Iterable[Point]) -> list[Point]:
     """Remove duplicates preserving first occurrence."""
-    seen = set()
-    out = []
-    for pt in pts:
-        pt = tuple(int(c) for c in pt)
-        if pt not in seen:
-            seen.add(pt)
-            out.append(pt)
-    return out
+    return list(dict.fromkeys(tuple(map(int, pt)) for pt in pts))
 
 
 def require_in_field(pt: Point, p: int) -> Point:
@@ -61,10 +54,7 @@ class ProductSet:
 
     @property
     def size(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= len(f)
-        return n
+        return self.suffix_size(0)
 
     def prefix(self, i: int) -> "ProductSet":
         """A_1 x ... x A_i (i may be 0, giving the empty product {()})."""
@@ -112,8 +102,7 @@ class ProductSet:
 def hypercube(h: Iterable[int], m: int) -> ProductSet:
     if m < 0:
         raise ValueError(f"arity must be nonnegative, got m={m}")
-    f = tuple(sorted(set(int(a) for a in h)))
-    return ProductSet((f,) * m)
+    return ProductSet((tuple(h),) * m)
 
 
 def a_closure(pts: Iterable[Point], a: ProductSet) -> list[Point]:

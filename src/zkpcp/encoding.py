@@ -10,6 +10,7 @@ symbolic audit accumulates the same rows instead of sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -134,29 +135,14 @@ def compose(inner: EncodingSpec, outer: EncodingSpec) -> EncodingSpec:
     return EncodingSpec(inner.fld, locate, inner.message_oracle)
 
 
-def sigma_rm_spec(fld: Field, m: int, dv: Sequence[int], a: ProductSet) -> EncodingSpec:
-    """The sum-code encoding. The spec owns one map of located layers (see
-    ``sigma_rm_locate``), so each layer is located once over its lifetime."""
-    view = CodeView(fld, m, tuple(dv))
-    located: dict = {}
-    return EncodingSpec(fld, lambda pts: sigma_rm_locate(view, a, pts, located))
-
-
 def antisym_spec(
     fld: Field, a: ProductSet, message_oracle: Callable[[Point], int]
 ) -> EncodingSpec:
-    """The antisymmetric masking encoding. The spec owns one map from each
-    query tuple to its located output, so a repeated query set is located
-    once over the spec's lifetime."""
-    located: dict[tuple[Point, ...], LocatorOutput] = {}
-
-    def locate(pts: Sequence[Point]) -> LocatorOutput:
-        key = tuple(map(tuple, pts))
-        if key not in located:
-            located[key] = antisym_locate(fld, a, key)
-        return located[key]
-
-    return EncodingSpec(fld, locate, message_oracle)
+    """The antisymmetric masking encoding. The spec caches each query
+    tuple's located output, so a repeated query set is located once over
+    the spec's lifetime."""
+    located = cache(lambda key: antisym_locate(fld, a, key))
+    return EncodingSpec(fld, lambda pts: located(tuple(map(tuple, pts))), message_oracle)
 
 
 def enc_pcp_spec(
@@ -185,5 +171,8 @@ def enc_pcp_spec(
         return f_eval(q) % fld.p
 
     inner = antisym_spec(fld, a, message)
-    outer = sigma_rm_spec(fld, m, (d,) * m, a)
+    # the outer spec owns one map of located layers (see ``sigma_rm_locate``),
+    # so each layer is located once over its lifetime
+    view, located = CodeView(fld, m, (d,) * m), {}
+    outer = EncodingSpec(fld, lambda pts: sigma_rm_locate(view, a, pts, located))
     return compose(inner, outer)

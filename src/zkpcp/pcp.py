@@ -30,7 +30,7 @@ from .linalg import sample_affine
 from .poly import (
     MultiPoly,
     _inverse_vandermonde,
-    lagrange_univariate,
+    lagrange,
     power_table,
     univariate_from_roots,
 )
@@ -564,13 +564,13 @@ def verify(
     params: SumcheckParams,
     proof: ProofOracle,
     rng,
-    gamma: Optional[int] = None,
+    gamma: int,
     path: Optional[tuple[int, ...]] = None,
     line_choices: Optional[list[list[tuple[int, Point]]]] = None,
 ) -> VerifyResult:
     """Unrolled sumcheck along one random path plus per-table line tests.
 
-    When ``gamma`` is given, the proof's total-sum entry must match it.
+    The proof's total-sum entry must match the claimed total ``gamma``.
     ``path`` and ``line_choices`` may be injected for exhaustive sweeps;
     they default to fresh uniform coins from rng.
     """
@@ -588,7 +588,7 @@ def verify(
         return v
 
     gamma_claim = ask("sigma", ())
-    if gamma is not None and gamma_claim != gamma % p:
+    if gamma_claim != gamma % p:
         return VerifyResult(False, "claimed total mismatch", log)
     if path is None:
         path = tuple(fld.sample(rng) for _ in range(m))
@@ -956,7 +956,9 @@ def pcp_for_sharp_sat(
     The claimed count must lie in [0, 2^n] and the modulus must exceed the
     soundness threshold 10 m d, 2^n (so the claimed count cannot alias) and
     d (so the reading nodes 0..d are field elements; this binds only at
-    n = 0); a user-supplied smaller prime is rejected.
+    n = 0); a user-supplied smaller prime is rejected. A formula whose
+    arithmetization, a dense tensor with one axis of occ_i + 1 entries per
+    variable, would exceed TABLE_CAP entries is refused before it is built.
     """
     m = cnf.num_vars
     if not 0 <= claimed_count <= 2**m:
@@ -973,6 +975,11 @@ def pcp_for_sharp_sat(
         raise ValueError(f"modulus must be a prime above {floor}")
     params = SumcheckParams(p, m, d, (0, 1))  # bounds p, then tests primality
     assert params.meets_soundness_bound
+    entries = math.prod(n + 1 for n in occurrences)
+    if entries > TABLE_CAP:
+        raise ValueError(
+            f"the formula's arithmetization has {entries} coefficients, above the cap {TABLE_CAP}"
+        )
     poly = arithmetize(cnf, p)
     return SharpSatPcp(cnf, claimed_count, params, poly)
 
@@ -989,11 +996,6 @@ def prove_shifted(bundle: SharpSatPcp, rng) -> ProofOracle:
     p = params.p
     truth = bundle.cnf.model_count() % p
     delta = (bundle.gamma - truth) % p
-    ell = lagrange_univariate(list(params.h), params.h[0], p)
-    shift = MultiPoly(p, np.ones((1,) * params.m, dtype=np.int64))
-    for i in range(params.m):
-        shape = [1] * params.m
-        shape[i] = ell.size
-        shift = shift.mul(MultiPoly(p, ell.reshape(shape)))
+    shift = lagrange(params.cube, (params.h[0],) * params.m, p)
     forged = bundle.poly.add(shift.scale(delta))
     return prove(forged, params, rng)

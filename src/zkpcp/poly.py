@@ -129,11 +129,6 @@ def eval_univariate(coeffs: np.ndarray, x: int, p: int) -> int:
     return acc
 
 
-def vanishing(s: Iterable[int], p: int) -> MultiPoly:
-    """Monic univariate polynomial whose zero set is exactly s."""
-    return MultiPoly(p, univariate_from_roots(sorted(set(int(x) for x in s)), p))
-
-
 def lagrange_univariate(nodes: Sequence[int], w: int, p: int) -> np.ndarray:
     """Coefficients of the basis polynomial that is 1 at w, 0 on nodes - {w}."""
     others = [z for z in nodes if z != w]

@@ -17,7 +17,7 @@ import numpy as np
 from .domains import Point, ProductSet, dedup_points
 from .field import Field
 from .linalg import image_dual_basis, kernel_basis, rref
-from .poly import vandermonde
+from .poly import univariate_from_roots, vandermonde
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ def cd_zero_rm(view: CodeView, s: ProductSet, pts: Sequence[Point]) -> Constrain
     exps = _exponent_table(view.dv)
     blocks = [np.zeros((len(dom), 0), dtype=np.int64)]
     for i, s_i in enumerate(s.factors):
-        z = np.ones(len(dom), dtype=np.int64)
-        for root in s_i:
-            z = z * ((x[:, i] - root) % p) % p
+        z = vandermonde(x[:, i], len(s_i), p) @ univariate_from_roots(s_i, p) % p
         cols = exps[i] <= view.dv[i] - len(s_i)
         blocks.append(z[:, None] * full[:, cols] % p)
     g = np.concatenate(blocks, axis=1)

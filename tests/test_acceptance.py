@@ -266,8 +266,8 @@ def test_criterion_4_antisym_basis_and_bounds():
                     g_pts = sort_points(comb)
                     fam = sym_sets(g_pts, a)
                     idx = {pt: i for i, pt in enumerate(g_pts)}
-                    got = np.zeros((len(fam.sets), len(g_pts)), dtype=np.int64)
-                    for k, h in enumerate(fam.sets):
+                    got = np.zeros((len(fam), len(g_pts)), dtype=np.int64)
+                    for k, h in enumerate(fam):
                         for pt in h:
                             got[k, idx[pt]] = 1
                     rows = []
@@ -284,7 +284,7 @@ def test_criterion_4_antisym_basis_and_bounds():
                         failures += 1
                     checked += 1
                     if p == 3:  # combinatorial part is field-independent
-                        for h in fam.sets:
+                        for h in fam:
                             t = len(h) ** 2
                             if 4 * t > k_cube:
                                 continue
@@ -363,7 +363,7 @@ def test_criterion_6_completeness():
     sweep_rejects = 0
     for c1 in range(11):
         res = verify(
-            poly.eval, params, gamma_proof, random.Random(0),
+            poly.eval, params, gamma_proof, random.Random(0), gamma=0,
             path=(c1,), line_choices=lines,
         )
         sweep_rejects += not res.accepted
@@ -376,7 +376,7 @@ def test_criterion_6_completeness():
     trial_rejects = 0
     for seed in range(1000):
         proof = prove(poly3, params3, random.Random(f"p:{seed}"))
-        res = verify(poly3.eval, params3, proof, random.Random(f"v:{seed}"))
+        res = verify(poly3.eval, params3, proof, random.Random(f"v:{seed}"), gamma=15)
         trial_rejects += not res.accepted
     dt = time.time() - t0
     ok = sweep_rejects == 0 and trial_rejects == 0
@@ -408,7 +408,7 @@ def test_criterion_7_soundness_empirical():
         rng = np.random.default_rng(seed)
         q = rng.integers(0, 101, size=proof.q.shape)
         proof = proof_from_tables(params, proof.sigma, q, proof.t)
-        res = verify(poly.eval, params, proof, random.Random(f"hv:{seed}"))
+        res = verify(poly.eval, params, proof, random.Random(f"hv:{seed}"), gamma=1)
         caught += not res.accepted
     dt = time.time() - t0
     ok = rejected >= 500 and caught >= 500

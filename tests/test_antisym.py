@@ -166,8 +166,8 @@ def brute_sigma_antisym_dual(g_pts, a, p):
 
 def indicator_rows(family, g_pts, p):
     idx = {pt: i for i, pt in enumerate(g_pts)}
-    rows = np.zeros((len(family.sets), len(g_pts)), dtype=np.int64)
-    for k, h in enumerate(family.sets):
+    rows = np.zeros((len(family), len(g_pts)), dtype=np.int64)
+    for k, h in enumerate(family):
         for pt in h:
             rows[k, idx[pt]] = 1
     return rows
@@ -202,7 +202,7 @@ def test_minimal_symmetric_decomposition_disjoint():
                     continue
                 fam = sym_sets(sort_points(comb), a)
                 seen = set()
-                for h in fam.sets:
+                for h in fam:
                     assert not (set(h) & seen)
                     seen |= set(h)
                     # each member is symmetric: covered cube equals reversal
@@ -233,7 +233,7 @@ def test_reverse_set_bounds_exact():
             if not is_prefix_free(comb):
                 continue
             fam = sym_sets(sort_points(comb), a)
-            for h in fam.sets:
+            for h in fam:
                 t = len(h) ** 2
                 if 4 * t > k_cube:
                     continue

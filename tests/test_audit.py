@@ -10,6 +10,7 @@ import pytest
 
 from zkpcp.audit import (
     AuditError,
+    AuditReport,
     BranchStep,
     LinearLaw,
     ScriptStep,
@@ -551,6 +552,24 @@ def test_shared_prefix_is_built_once(monkeypatch):
     assert len(calls) == 3
     assert np.array_equal(laws[0][0].system.rows, laws[2][0].system.rows)
     assert laws[1][0].n > laws[0][0].n
+
+
+def test_audit_compares_each_distinct_query_sequence_once(monkeypatch):
+    """Script 264 of this battery branches on step 0 to one query either
+    way, so its 4 branches hold 2 distinct query sequences: the audit builds
+    2 real laws, and reports TV 0 on the true total and 1/5 on a wrong one,
+    as a comparison per branch does."""
+    calls = []
+    real = audit_mod.real_law
+    monkeypatch.setattr(audit_mod, "real_law", lambda *args: calls.append(args) or real(*args))
+    params = SumcheckParams(5, 3, 3, (0, 1))
+    script = script_battery(params, 300, 5)[264]
+    poly = MultiPoly(5, np.random.default_rng(5).integers(0, 5, (4,) * 3))
+    gamma = sum(poly.eval(pt) for pt in params.cube.points()) % 5
+    for claim, tv in ((gamma, Fraction(0)), (gamma + 1, Fraction(1, 5))):
+        calls.clear()
+        assert audit_script(params, poly, claim, script) == AuditReport(tv, tv == 0, 4)
+        assert len(calls) == 2
 
 
 def test_reused_views_gather_the_rows_of_fresh_ones(monkeypatch):

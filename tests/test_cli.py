@@ -564,21 +564,58 @@ def test_simulator_commands_refuse_characteristic_two(command, tmp_path):
     assert "odd characteristic" in recs[0]["message"]
 
 
-def test_audit_zk_checks_the_dimension_before_building_an_instance(monkeypatch, capsys):
+def test_audit_zk_checks_the_dimension_before_building_an_instance(
+    monkeypatch, capsys, script_file
+):
     """At p=5, m=12 the masks have 4^12 + 12 * 4^11 * 2 > 2^24 coefficients:
-    the command refuses them before it samples the instance's (d + 1)^m."""
+    audit-zk and simulate refuse them before they sample the instance's
+    (d + 1)^m."""
     from zkpcp import cli
 
     def refused(*args):
         raise AssertionError("an instance was built")
 
     monkeypatch.setattr(cli, "random_instance", refused)
-    assert cli.main(["audit-zk", "--field", "5", "--m", "12", "--battery", "1"]) == 2
-    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     dim = 4**12 + 12 * 4**11 * 2
-    assert recs == [
-        {"record": "error", "message": f"coefficient dimension {dim} exceeds cap {1 << 24}"}
-    ]
+    for argv in (["audit-zk", "--battery", "1"], ["simulate", "--script", script_file]):
+        assert cli.main([*argv, "--field", "5", "--m", "12"]) == 2
+        recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert recs == [
+            {"record": "error", "message": f"coefficient dimension {dim} exceeds cap {1 << 24}"}
+        ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--count", "0", "--out", "OUT"],
+        ["simulate", "--script", "SCRIPT"],
+        ["audit-zk", "--battery", "1"],
+    ],
+    ids=["prove", "simulate", "audit-zk"],
+)
+def test_a_formula_too_large_to_arithmetize_is_refused(argv, monkeypatch, capsys, tmp_path,
+                                                       script_file):
+    """Each variable of this 12-variable formula occurs 6 times, so its dense
+    arithmetization would hold 7^12 coefficients: every --cnf command refuses
+    it with one error record, builds nothing and writes no file."""
+    from zkpcp import cli, pcp
+
+    def refused(*args):
+        raise AssertionError("arithmetize was called")
+
+    monkeypatch.setattr(pcp, "arithmetize", refused)
+    lines = [f"{a} {b} 0" for i in range(1, 13) for j in [i % 12 + 1]
+             for a, b in ((i, j), (i, -j), (-i, j))]
+    cnf = tmp_path / "cycle.cnf"
+    cnf.write_text("p cnf 12 36\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "cycle.proof"
+    argv = [{"OUT": str(out), "SCRIPT": script_file}.get(a, a) for a in argv]
+    assert cli.main([*argv, "--cnf", str(cnf)]) == 2
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["record"] for r in recs] == ["error"]
+    assert f"{7**12} coefficients" in recs[0]["message"]
+    assert not out.exists()
 
 
 def test_verify_refuses_a_proof_for_other_parameters(cnf_file, tmp_path):

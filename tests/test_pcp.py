@@ -123,6 +123,57 @@ p cnf 3 2
             parse_dimacs(text)
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_parse_dimacs_reads_back_every_rendering(data):
+    """A formula of at most 5 variables and 6 clauses, empty ones allowed,
+    rendered with line breaks anywhere between literals, comment lines and
+    an optional % trailer, parses back exactly; only a nonempty last clause
+    omits its 0. A problem line whose clause count is off by one is
+    refused."""
+    n = data.draw(st.integers(0, 5))
+    lit = st.builds(int.__mul__, st.integers(1, max(n, 1)), st.sampled_from((1, -1)))
+    clauses = data.draw(st.lists(st.lists(lit, max_size=4 if n else 0).map(tuple), max_size=6))
+    tokens = [str(x) for clause in clauses for x in (*clause, 0)]
+    if clauses and clauses[-1] and data.draw(st.booleans()):
+        tokens.pop()
+    body, line = [], []
+    for tok in tokens:
+        line.append(tok)
+        if data.draw(st.booleans()):
+            body.append(" ".join(line))
+            line = []
+            if data.draw(st.booleans()):
+                body.append("c 1 0 comment")
+    body += [" ".join(line)] if line else []
+    body += ["%", "0"] if data.draw(st.booleans()) else []
+
+    def render(count):
+        return "\n".join(["c head", f"p cnf {n} {count}", *body]) + "\n"
+
+    cnf = parse_dimacs(render(len(clauses)))
+    assert (cnf.num_vars, cnf.clauses) == (n, tuple(clauses))
+    for off in (-1, 1):
+        with pytest.raises(ValueError, match="declares"):
+            parse_dimacs(render(len(clauses) + off))
+
+
+def test_a_formula_too_large_to_arithmetize_is_refused_unbuilt(monkeypatch):
+    """12 variables, each in 6 of the 36 clauses (i, j), (i, -j), (-i, j)
+    with j = i mod 12 + 1: the dense arithmetization would hold 7^12 (about
+    1.4e10) coefficients, so the formula is refused before it is built."""
+
+    def refused(*args):
+        raise AssertionError("arithmetize was called")
+
+    monkeypatch.setattr(pcp, "arithmetize", refused)
+    clauses = tuple(
+        c for i in range(1, 13) for j in [i % 12 + 1] for c in ((i, j), (i, -j), (-i, j))
+    )
+    with pytest.raises(ValueError, match=f"{7**12} coefficients, above the cap {1 << 24}"):
+        pcp_for_sharp_sat(CnfInstance(12, clauses), 0)
+
+
 def test_modulus_bound_checked_before_primality():
     # both moduli are prime: int64 elimination overflows at 2**40 + 15, and
     # trial division of 2**61 - 1 would run for minutes
@@ -203,7 +254,7 @@ def test_completeness_small_field_many_seeds():
     poly = xy_poly(61)
     for seed in range(20):
         proof = prove(poly, params, random.Random(seed))
-        res = verify(poly.eval, params, proof, random.Random(1000 + seed))
+        res = verify(poly.eval, params, proof, random.Random(1000 + seed), gamma=1)
         assert res.accepted, res.reason
 
 
@@ -211,7 +262,7 @@ def test_query_count_bound():
     params = SumcheckParams(61, 2, 3, (0, 1))
     poly = xy_poly(61)
     proof = prove(poly, params, random.Random(0))
-    res = verify(poly.eval, params, proof, random.Random(1))
+    res = verify(poly.eval, params, proof, random.Random(1), gamma=1)
     m, d, p = params.m, params.d, params.p
     r = line_test_count(params)
     bound = 1 + m * (d + 1) + (m + 2) + (m + 1) * r * p
@@ -303,7 +354,7 @@ def test_random_q_corruption_caught_by_line_test():
         rng = np.random.default_rng(seed)
         q = rng.integers(0, 61, size=proof.q.shape)
         proof = proof_from_tables(params, proof.sigma, q, proof.t)
-        res = verify(poly.eval, params, proof, random.Random(9000 + seed))
+        res = verify(poly.eval, params, proof, random.Random(9000 + seed), gamma=1)
         caught += not res.accepted
     assert caught >= trials // 2
 
@@ -356,7 +407,7 @@ def test_deserialize_rejects_entries_outside_the_field():
             sigma[1] = sigma[1] + 61
         forged = proof_from_tables(params, sigma, q, proof.t)
         # the shifted entries agree mod p, so a trusting decoder accepts them
-        assert verify(poly.eval, params, forged, random.Random(4)).accepted
+        assert verify(poly.eval, params, forged, random.Random(4), gamma=1).accepted
         with pytest.raises(ValueError, match="field element"):
             deserialize_proof(serialize_proof(forged))
     blob = bytearray(serialize_proof(prove(poly, params, random.Random(3))))
@@ -761,7 +812,7 @@ def test_a_proof_cannot_change():
     poly = xy_poly(11)
     proof = prove(poly, params, random.Random(1))
     want = bytes(serialize_proof(proof))
-    queries = verify(poly.eval, params, proof, random.Random(2)).queries
+    queries = verify(poly.eval, params, proof, random.Random(2), gamma=1).queries
     other = prove(poly, params, random.Random(7))
     for name, value in [("q", proof.q.copy()), ("wire", other.wire),
                         ("params", SumcheckParams(11, 2, 3, (0, 2)))]:
@@ -770,7 +821,7 @@ def test_a_proof_cannot_change():
     proof.sigma[1] = other.sigma[1]
     proof.t[0] = other.t[0]
     proof.t.append(proof.q)
-    assert verify(poly.eval, params, proof, random.Random(2)).queries == queries
+    assert verify(poly.eval, params, proof, random.Random(2), gamma=1).queries == queries
     assert bytes(serialize_proof(proof)) == want == copy_path_wire(proof)
     # the wire must carry the header of the parameters it is given with
     with pytest.raises(ValueError, match="image of the parameters"):
@@ -809,7 +860,7 @@ def test_params_without_reading_nodes_are_refused_where_nodes_are_read():
         with pytest.raises(ValueError, match=why):
             prove(poly, params, random.Random(0))
         with pytest.raises(ValueError, match=why):
-            verify(poly.eval, params, None, random.Random(0))
+            verify(poly.eval, params, None, random.Random(0), gamma=0)
         head = [params.p, 1, params.d, len(params.h), *params.h,
                 params.d + 1, *range(params.d + 1)]
         words = 1 + 3 * params.p
